@@ -2,7 +2,6 @@
 //! [`RunSet`] for variability analysis.
 
 use ompvar_core::RunSet;
-use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::RegionSpec;
 use ompvar_rt::runner::RegionRunner;
 
@@ -23,26 +22,6 @@ pub fn run_many<R: RegionRunner>(
         runs.push(res.reps().to_vec());
     }
     RunSet::new(runs)
-}
-
-/// Like [`run_many`] but also keeping each run's full [`RegionResult`]
-/// (frequency traces, counters) for experiments that need them.
-pub fn run_many_full<R: RegionRunner>(
-    rt: &R,
-    region: &RegionSpec,
-    n_runs: usize,
-    seed_base: u64,
-) -> (RunSet, Vec<RegionResult>) {
-    let mut runs = Vec::with_capacity(n_runs);
-    let mut full = Vec::with_capacity(n_runs);
-    for i in 0..n_runs {
-        let res = rt
-            .run_region(region, seed_base + i as u64)
-            .unwrap_or_else(|e| panic!("run {i}/{n_runs} on {} failed: {e}", rt.backend_name()));
-        runs.push(res.reps().to_vec());
-        full.push(res);
-    }
-    (RunSet::new(runs), full)
 }
 
 #[cfg(test)]

@@ -122,10 +122,36 @@ pub fn region_with_inner(
     )
 }
 
+/// Seed of the calibration probe run.
+pub const CALIBRATION_SEED: u64 = 0xCA11B;
+
+/// Inner repetitions of the calibration probe.
+const PROBE_INNER: u32 = 4;
+
+/// The short probe run of EPCC-style calibration: 2 outer ×
+/// `PROBE_INNER` inner repetitions of `construct`.
+pub fn calibration_probe(cfg: &EpccConfig, construct: SyncConstruct, n_threads: usize) -> RegionSpec {
+    let probe_cfg = EpccConfig {
+        outer_reps: 2,
+        ..*cfg
+    };
+    region_with_inner(&probe_cfg, construct, n_threads, PROBE_INNER)
+}
+
+/// Scale the probe's repetition times (`probe_reps`, from a run of
+/// [`calibration_probe`]) so one repetition lasts about `test_time_us`.
+/// The result is clamped to `[1, cap]` to keep simulated event counts
+/// tractable.
+pub fn inner_reps_from_probe(cfg: &EpccConfig, probe_reps: &[f64], cap: u32) -> u32 {
+    // Use the second repetition (the first may include warmup placement).
+    let rep_us = probe_reps[1].max(1e-3);
+    let per_op = rep_us / PROBE_INNER as f64;
+    ((cfg.test_time_us / per_op).round() as u32).clamp(1, cap)
+}
+
 /// EPCC-style auto-calibration of the inner repetition count: run one
-/// short probe (1 outer × `probe_inner` inner) and scale so a repetition
-/// lasts about `test_time_us`. The result is clamped to `[1, cap]` to
-/// keep simulated event counts tractable.
+/// [`calibration_probe`] at [`CALIBRATION_SEED`] and scale it with
+/// [`inner_reps_from_probe`].
 pub fn calibrate_inner_reps<R: RegionRunner>(
     rt: &R,
     cfg: &EpccConfig,
@@ -133,17 +159,11 @@ pub fn calibrate_inner_reps<R: RegionRunner>(
     n_threads: usize,
     cap: u32,
 ) -> u32 {
-    let probe_inner = 4;
-    let probe_cfg = EpccConfig {
-        outer_reps: 2,
-        ..*cfg
-    };
-    let probe = region_with_inner(&probe_cfg, construct, n_threads, probe_inner);
-    let res = rt.run_region(&probe, 0xCA11B).expect("syncbench region completes");
-    // Use the second repetition (the first may include warmup placement).
-    let rep_us = res.reps()[1].max(1e-3);
-    let per_op = rep_us / probe_inner as f64;
-    ((cfg.test_time_us / per_op).round() as u32).clamp(1, cap)
+    let probe = calibration_probe(cfg, construct, n_threads);
+    let res = rt
+        .run_region(&probe, CALIBRATION_SEED)
+        .expect("syncbench region completes");
+    inner_reps_from_probe(cfg, res.reps(), cap)
 }
 
 /// Reference time of one inner repetition, µs: the serial cost of the

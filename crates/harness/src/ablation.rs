@@ -14,9 +14,12 @@
 //!   removed, even with DVFS fully active.
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::Sweep;
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, EpccConfig};
-use ompvar_core::Table;
+use ompvar_bench_epcc::EpccConfig;
+use ompvar_core::{RunSet, Table};
+use ompvar_rt::region::RegionSpec;
+use ompvar_rt::simrt::SimRuntime;
 use ompvar_sim::params::{NoiseParams, SimParams};
 
 /// One model variant.
@@ -92,27 +95,44 @@ fn freeze_clock(platform: Platform) -> ompvar_topology::MachineSpec {
     m
 }
 
+/// `base`'s runtime under every variant, frozen-frequency variants on a
+/// flat-turbo machine.
+fn variant_runtimes(platform: Platform, base: SimRuntime) -> Vec<SimRuntime> {
+    Variant::ALL
+        .iter()
+        .map(|v| {
+            let mut rt = base.clone();
+            rt.params = v.apply(rt.params.clone());
+            if matches!(v, Variant::NoFreq | Variant::NoNoiseNoFreq) {
+                rt.machine = freeze_clock(platform);
+            }
+            rt
+        })
+        .collect()
+}
+
+/// `region` on every variant's runtime as one sweep, a run set per
+/// variant.
+fn variant_runs(opts: &ExpOptions, rts: &[SimRuntime], region: &RegionSpec) -> Vec<RunSet> {
+    let mut sweep = Sweep::new(opts);
+    for rt in rts {
+        sweep.push(rt, region.clone(), opts.n_runs(), opts.seed);
+    }
+    sweep.run_sets()
+}
+
 /// Cell A — the frequency effect (Vera, 16 threads across 2 NUMA
 /// domains, Fig 6 cell): per-variant median per-run CV.
 pub fn frequency_cell(opts: &ExpOptions) -> Vec<(Variant, f64)> {
+    let rts = variant_runtimes(Platform::Vera, Platform::Vera.numa_rt(&[0, 1], 8));
+    // Same workload as fig6's syncbench driver.
+    let reps = if opts.fast { 40 } else { opts.outer_reps() };
+    let cfg = EpccConfig::syncbench_default().fast(reps);
+    let region = syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, 16, 300);
     Variant::ALL
-        .iter()
-        .map(|&v| {
-            let mut rt = Platform::Vera.numa_rt(&[0, 1], 8);
-            rt.params = v.apply(rt.params.clone());
-            if matches!(v, Variant::NoFreq | Variant::NoNoiseNoFreq) {
-                rt.machine = freeze_clock(Platform::Vera);
-            }
-            let region = {
-                // Same workload as fig6's syncbench driver.
-                let reps = if opts.fast { 40 } else { opts.outer_reps() };
-                let cfg = EpccConfig::syncbench_default().fast(reps);
-                syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, 16, 300)
-            };
-            let rs = run_many(&rt, &region, opts.n_runs(), opts.seed);
-            let cvs = rs.run_cvs();
-            (v, ompvar_core::percentile(&cvs, 50.0))
-        })
+        .into_iter()
+        .zip(variant_runs(opts, &rts, &region))
+        .map(|(v, rs)| (v, ompvar_core::percentile(&rs.run_cvs(), 50.0)))
         .collect()
 }
 
@@ -121,17 +141,11 @@ pub fn frequency_cell(opts: &ExpOptions) -> Vec<(Variant, f64)> {
 pub fn unbound_cell(opts: &ExpOptions) -> Vec<(Variant, f64)> {
     let cfg = EpccConfig::syncbench_default().fast(if opts.fast { 20 } else { 40 });
     let region = syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, 48, 12);
+    let rts = variant_runtimes(Platform::Dardel, Platform::Dardel.unbound_rt());
     Variant::ALL
-        .iter()
-        .map(|&v| {
-            let mut rt = Platform::Dardel.unbound_rt();
-            rt.params = v.apply(rt.params.clone());
-            if matches!(v, Variant::NoFreq | Variant::NoNoiseNoFreq) {
-                rt.machine = freeze_clock(Platform::Dardel);
-            }
-            let rs = run_many(&rt, &region, opts.n_runs(), opts.seed);
-            (v, rs.pooled().spread())
-        })
+        .into_iter()
+        .zip(variant_runs(opts, &rts, &region))
+        .map(|(v, rs)| (v, rs.pooled().spread()))
         .collect()
 }
 
@@ -198,7 +212,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "ablation checks failed:\n{}", rep.render());
     }
 }

@@ -10,10 +10,10 @@
 //! flat and near zero; guided sits near static (its chunks start large).
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::Sweep;
 use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::Table;
 use ompvar_rt::region::Schedule;
-use ompvar_rt::runner::RegionRunner;
 
 /// Chunk sizes swept.
 pub const CHUNKS: [u64; 5] = [1, 4, 16, 64, 128];
@@ -24,24 +24,31 @@ fn cfg(opts: &ExpOptions) -> EpccConfig {
     cfg
 }
 
-/// Per-iteration dispatch overhead (µs) for one schedule kind across the
-/// chunk sweep.
-pub fn sweep(
-    opts: &ExpOptions,
-    platform: Platform,
-    n_threads: usize,
-    make: impl Fn(u64) -> Schedule,
-) -> Vec<(u64, f64)> {
+/// The schedule kinds swept, by chunk size, in table column order.
+const KINDS: [fn(u64) -> Schedule; 3] = [
+    |chunk| Schedule::Static { chunk },
+    |chunk| Schedule::Dynamic { chunk },
+    |min_chunk| Schedule::Guided { min_chunk },
+];
+
+/// Per-iteration dispatch overhead (µs) at every chunk size: one
+/// `[static, dynamic, guided]` row per entry of [`CHUNKS`].
+pub fn overheads(opts: &ExpOptions, platform: Platform, n_threads: usize) -> Vec<[f64; 3]> {
     let cfg = cfg(opts);
     let rt = platform.pinned_rt(n_threads);
-    CHUNKS
-        .iter()
-        .map(|&chunk| {
-            let region = schedbench::region(&cfg, make(chunk), n_threads);
-            let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            let mean = res.reps().iter().sum::<f64>() / res.reps().len() as f64;
-            (chunk, schedbench::per_iter_overhead_us(&cfg, mean))
-        })
+    let mut sweep = Sweep::new(opts);
+    for &chunk in &CHUNKS {
+        for make in KINDS {
+            sweep.push(&rt, schedbench::region(&cfg, make(chunk), n_threads), 1, opts.seed);
+        }
+    }
+    let per_iter = sweep.run(|_, res| {
+        let mean = res.reps().iter().sum::<f64>() / res.reps().len() as f64;
+        schedbench::per_iter_overhead_us(&cfg, mean)
+    });
+    per_iter
+        .chunks(KINDS.len())
+        .map(|row| [row[0][0], row[1][0], row[2][0]])
         .collect()
 }
 
@@ -50,9 +57,7 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     let mut tables = Vec::new();
     let mut checks = Vec::new();
     for (platform, n) in [(Platform::Dardel, 64usize), (Platform::Vera, 16)] {
-        let stat = sweep(opts, platform, n, |c| Schedule::Static { chunk: c });
-        let dyn_ = sweep(opts, platform, n, |c| Schedule::Dynamic { chunk: c });
-        let gui = sweep(opts, platform, n, |c| Schedule::Guided { min_chunk: c });
+        let rows = overheads(opts, platform, n);
         let mut t = Table::new(
             &format!(
                 "Chunk sweep: per-iteration overhead (µs), {} threads, {}",
@@ -61,12 +66,12 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             ),
             &["chunk", "static", "dynamic", "guided"],
         );
-        for i in 0..CHUNKS.len() {
+        for (chunk, [stat, dyn_, gui]) in CHUNKS.iter().zip(&rows) {
             t.row(&[
-                CHUNKS[i].to_string(),
-                format!("{:.4}", stat[i].1),
-                format!("{:.4}", dyn_[i].1),
-                format!("{:.4}", gui[i].1),
+                chunk.to_string(),
+                format!("{stat:.4}"),
+                format!("{dyn_:.4}"),
+                format!("{gui:.4}"),
             ]);
         }
         tables.push(t);
@@ -74,8 +79,9 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
         // The absolute overhead includes the all-core frequency droop,
         // which hits every schedule equally; the *dispatch* component is
         // the delta above static at the same chunk size.
-        let disp1 = dyn_[0].1 - stat[0].1;
-        let disp128 = dyn_[CHUNKS.len() - 1].1 - stat[CHUNKS.len() - 1].1;
+        let dispatch = |[stat, dyn_, _]: [f64; 3]| dyn_ - stat;
+        let disp1 = dispatch(rows[0]);
+        let disp128 = dispatch(rows[CHUNKS.len() - 1]);
         checks.push(Check::new(
             &format!(
                 "{}: dynamic dispatch amortizes with chunk size",
@@ -105,7 +111,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "chunks checks failed:\n{}", rep.render());
     }
 }

@@ -152,10 +152,12 @@ pub struct ExpOptions {
     /// (`--resume DIR`): completed experiments replay from the manifest
     /// instead of re-running.
     pub resume: Option<PathBuf>,
-    /// Worker threads for the campaign executor (`--jobs`). Defaults to
-    /// 1 — experiments here *measure*, and concurrent native runs
-    /// perturb each other's timing shapes; `--jobs 0` auto-detects for
-    /// throughput-oriented campaigns (fuzzing, CI smoke).
+    /// Threads (`--jobs`) for the campaign executor's workers and for
+    /// each experiment's simulated runs ([`crate::sweep::Sweep`]).
+    /// Defaults to 1; `--jobs 0` auto-detects. Simulated runs are pure
+    /// functions of their seed, so sweeps fan out and reports stay
+    /// byte-identical at any value; native runs measure the host and
+    /// are never fanned out.
     pub jobs: usize,
     /// Per-unit wall-clock deadline enforced by the executor's watchdog
     /// (`--unit-timeout SECS`); `None` disables reaping.

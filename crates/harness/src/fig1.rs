@@ -8,10 +8,10 @@
 //! > synchronization construct.
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::{calibrate, Sweep};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, EpccConfig};
+use ompvar_bench_epcc::EpccConfig;
 use ompvar_core::{fmt_us, Table};
-use ompvar_rt::runner::RegionRunner;
 
 /// Inner-repetition cap: full EPCC calibration targets 1000 µs per timed
 /// repetition; we cap the count to bound simulated event counts (noted in
@@ -34,17 +34,28 @@ pub fn scaling_series(
     construct: SyncConstruct,
 ) -> Vec<(usize, f64, f64)> {
     let cfg = EpccConfig::syncbench_default().fast(opts.outer_reps());
-    let mut out = Vec::new();
-    for n in platform.scaling_threads() {
-        let rt = platform.pinned_rt(n);
-        let inner = syncbench::calibrate_inner_reps(&rt, &cfg, construct, n, inner_cap(opts, n));
+    let counts = platform.scaling_threads();
+    let rts: Vec<_> = counts.iter().map(|&n| platform.pinned_rt(n)).collect();
+    let probes: Vec<_> = counts
+        .iter()
+        .zip(&rts)
+        .map(|(&n, rt)| (rt, construct, n, inner_cap(opts, n)))
+        .collect();
+    let inners = calibrate(opts, &cfg, &probes);
+    let mut sweep = Sweep::new(opts);
+    for ((&n, rt), &inner) in counts.iter().zip(&rts).zip(&inners) {
         let region = syncbench::region_with_inner(&cfg, construct, n, inner);
-        let rs = run_many(&rt, &region, opts.n_runs(), opts.seed);
-        let pooled = rs.pooled();
-        let per_op = pooled.mean / inner as f64;
-        out.push((n, per_op, pooled.cv));
+        sweep.push(rt, region, opts.n_runs(), opts.seed);
     }
-    out
+    counts
+        .iter()
+        .zip(inners)
+        .zip(sweep.run_sets())
+        .map(|((&n, inner), rs)| {
+            let pooled = rs.pooled();
+            (n, pooled.mean / inner as f64, pooled.cv)
+        })
+        .collect()
 }
 
 /// Per-op overhead (µs) of every construct at a fixed thread count.
@@ -55,15 +66,21 @@ pub fn construct_costs(
 ) -> Vec<(SyncConstruct, f64)> {
     let cfg = EpccConfig::syncbench_default().fast(opts.outer_reps().min(10));
     let rt = platform.pinned_rt(n);
+    let probes: Vec<_> = SyncConstruct::ALL
+        .iter()
+        .map(|&c| (&rt, c, n, inner_cap(opts, n)))
+        .collect();
+    let inners = calibrate(opts, &cfg, &probes);
+    let mut sweep = Sweep::new(opts);
+    for (&c, &inner) in SyncConstruct::ALL.iter().zip(&inners) {
+        sweep.push(&rt, syncbench::region_with_inner(&cfg, c, n, inner), 1, opts.seed);
+    }
+    let means = sweep.run(|_, res| res.reps().iter().sum::<f64>() / res.reps().len() as f64);
     SyncConstruct::ALL
         .iter()
-        .map(|&c| {
-            let inner = syncbench::calibrate_inner_reps(&rt, &cfg, c, n, inner_cap(opts, n));
-            let region = syncbench::region_with_inner(&cfg, c, n, inner);
-            let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            let mean = res.reps().iter().sum::<f64>() / res.reps().len() as f64;
-            (c, syncbench::overhead_us(&cfg, c, mean, inner))
-        })
+        .zip(inners)
+        .zip(means)
+        .map(|((&c, inner), mean)| (c, syncbench::overhead_us(&cfg, c, mean[0], inner)))
         .collect()
 }
 
@@ -157,7 +174,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "fig1 checks failed:\n{}", rep.render());
     }
 }

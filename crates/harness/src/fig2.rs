@@ -6,9 +6,9 @@
 //! each domain's bandwidth saturates.
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::Sweep;
 use ompvar_bench_stream::{kernel_stats, kernels::StreamConfig, region, StreamKernel};
 use ompvar_core::Table;
-use ompvar_rt::runner::RegionRunner;
 
 /// Mean kernel time (ms, averaged over the five kernels) per thread
 /// count.
@@ -21,20 +21,20 @@ pub fn scaling_series(opts: &ExpOptions, platform: Platform) -> Vec<(usize, f64)
     if counts[0] != 2 {
         counts.insert(0, 2);
     }
-    counts
-        .into_iter()
-        .map(|n| {
-            let rt = platform.pinned_rt(n);
-            let res = rt.run_region(&region(&cfg, n), opts.seed).expect("experiment region completes");
-            let stats = kernel_stats(&res);
-            let avg_ms = StreamKernel::ALL
-                .iter()
-                .map(|k| stats[k].avg_us)
-                .sum::<f64>()
-                / (StreamKernel::ALL.len() as f64 * 1e3);
-            (n, avg_ms)
-        })
-        .collect()
+    let rts: Vec<_> = counts.iter().map(|&n| platform.pinned_rt(n)).collect();
+    let mut sweep = Sweep::new(opts);
+    for (&n, rt) in counts.iter().zip(&rts) {
+        sweep.push(rt, region(&cfg, n), 1, opts.seed);
+    }
+    let avg_ms = sweep.run(|_, res| {
+        let stats = kernel_stats(res);
+        StreamKernel::ALL
+            .iter()
+            .map(|k| stats[k].avg_us)
+            .sum::<f64>()
+            / (StreamKernel::ALL.len() as f64 * 1e3)
+    });
+    counts.into_iter().zip(avg_ms).map(|(n, ms)| (n, ms[0])).collect()
 }
 
 /// Execute and report.
@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "fig2 checks failed:\n{}", rep.render());
     }
 }

@@ -8,12 +8,13 @@
 //! (dynamic scheduling self-balances perturbations).
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::{calibrate, Sweep};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
+use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_bench_stream::{kernel_stats, kernels::StreamConfig, StreamKernel};
-use ompvar_core::{fmt_ratio, RunSet, Table};
+use ompvar_core::{fmt_ratio, Summary, Table};
+use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::Schedule;
-use ompvar_rt::runner::RegionRunner;
 
 /// The three benchmarks of the figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,13 +53,6 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    fn of_runset(rs: &RunSet) -> Envelope {
-        Envelope {
-            lo: ompvar_core::percentile(&rs.run_norm_mins(), 25.0),
-            hi: ompvar_core::percentile(&rs.run_norm_maxs(), 75.0),
-        }
-    }
-
     /// Total envelope width (`hi − lo`).
     pub fn width(&self) -> f64 {
         self.hi - self.lo
@@ -79,66 +73,90 @@ fn sched_cfg(opts: &ExpOptions) -> EpccConfig {
 
 /// Envelope of one benchmark at one thread count.
 pub fn envelope(opts: &ExpOptions, platform: Platform, bench: Bench, n: usize) -> Envelope {
+    envelopes(opts, &[(platform, bench, n)])[0]
+}
+
+/// Residual noise events are rare (a few per second): the measured
+/// syncbench window needs enough repetitions to sample them, so fast
+/// mode uses *more* (cheap, short) repetitions here.
+fn sync_cfg(opts: &ExpOptions) -> EpccConfig {
+    let reps = if opts.fast { 60 } else { opts.outer_reps() };
+    EpccConfig::syncbench_default().fast(reps)
+}
+
+/// One run's normalized extremes `(min/avg, max/avg)`. For BabelStream,
+/// the worst across its kernels.
+fn norm_extremes(bench: Bench, res: &RegionResult) -> (f64, f64) {
     match bench {
-        Bench::Sched => {
-            let cfg = sched_cfg(opts);
-            let rt = platform.pinned_rt(n);
-            let region = schedbench::region(&cfg, Schedule::Dynamic { chunk: 1 }, n);
-            Envelope::of_runset(&run_many(&rt, &region, opts.n_runs(), opts.seed))
-        }
-        Bench::Sync => {
-            // Residual noise events are rare (a few per second): the
-            // measured window needs enough repetitions to sample them, so
-            // fast mode uses *more* (cheap, short) repetitions here.
-            let reps = if opts.fast { 60 } else { opts.outer_reps() };
-            let cfg = EpccConfig::syncbench_default().fast(reps);
-            let rt = platform.pinned_rt(n);
-            let cap = crate::fig1::inner_cap(opts, n);
-            let inner = syncbench::calibrate_inner_reps(&rt, &cfg, SyncConstruct::Reduction, n, cap);
-            let region = syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, n, inner);
-            Envelope::of_runset(&run_many(&rt, &region, opts.n_runs(), opts.seed))
+        Bench::Sched | Bench::Sync => {
+            let s = Summary::of(res.reps());
+            (s.norm_min(), s.norm_max())
         }
         Bench::Stream => {
-            let cfg = StreamConfig {
-                iterations: opts.stream_iters(),
-                ..StreamConfig::default()
-            };
-            let rt = platform.pinned_rt(n);
-            let region = ompvar_bench_stream::region(&cfg, n);
-            // Per run: worst normalized extremes across kernels; then the
-            // median over runs, like the other benchmarks.
-            let mut los = Vec::new();
-            let mut his = Vec::new();
-            for i in 0..opts.n_runs() {
-                let res = rt.run_region(&region, opts.seed + i as u64).expect("experiment region completes");
-                let stats = kernel_stats(&res);
-                los.push(
-                    StreamKernel::ALL
-                        .iter()
-                        .map(|k| stats[k].norm_min())
-                        .fold(f64::INFINITY, f64::min),
-                );
-                his.push(
-                    StreamKernel::ALL
-                        .iter()
-                        .map(|k| stats[k].norm_max())
-                        .fold(f64::NEG_INFINITY, f64::max),
-                );
+            let stats = kernel_stats(res);
+            (
+                StreamKernel::ALL
+                    .iter()
+                    .map(|k| stats[k].norm_min())
+                    .fold(f64::INFINITY, f64::min),
+                StreamKernel::ALL
+                    .iter()
+                    .map(|k| stats[k].norm_max())
+                    .fold(f64::NEG_INFINITY, f64::max),
+            )
+        }
+    }
+}
+
+/// Envelopes of several `(platform, bench, threads)` cells, calibrated
+/// as one sweep and run as a second.
+fn envelopes(opts: &ExpOptions, cells: &[(Platform, Bench, usize)]) -> Vec<Envelope> {
+    let rts: Vec<_> = cells.iter().map(|&(p, _, n)| p.pinned_rt(n)).collect();
+    let sync = sync_cfg(opts);
+    let probes: Vec<_> = cells
+        .iter()
+        .zip(&rts)
+        .filter(|((_, bench, _), _)| *bench == Bench::Sync)
+        .map(|(&(_, _, n), rt)| (rt, SyncConstruct::Reduction, n, crate::fig1::inner_cap(opts, n)))
+        .collect();
+    let mut inners = calibrate(opts, &sync, &probes).into_iter();
+    let stream = StreamConfig {
+        iterations: opts.stream_iters(),
+        ..StreamConfig::default()
+    };
+    let mut sweep = Sweep::new(opts);
+    for (&(_, bench, n), rt) in cells.iter().zip(&rts) {
+        let region = match bench {
+            Bench::Sched => schedbench::region(&sched_cfg(opts), Schedule::Dynamic { chunk: 1 }, n),
+            Bench::Sync => {
+                let inner = inners.next().expect("one calibration per syncbench cell");
+                syncbench::region_with_inner(&sync, SyncConstruct::Reduction, n, inner)
             }
+            Bench::Stream => ompvar_bench_stream::region(&stream, n),
+        };
+        sweep.push(rt, region, opts.n_runs(), opts.seed);
+    }
+    // Per cell: the quartiles over runs of the per-run extremes.
+    sweep
+        .run(|c, res| norm_extremes(cells[c].1, res))
+        .into_iter()
+        .map(|runs| {
+            let (los, his): (Vec<f64>, Vec<f64>) = runs.into_iter().unzip();
             Envelope {
                 lo: ompvar_core::percentile(&los, 25.0),
                 hi: ompvar_core::percentile(&his, 75.0),
             }
-        }
-    }
+        })
+        .collect()
 }
 
 /// Execute and report.
 pub fn run(opts: &ExpOptions) -> ExpReport {
     let mut tables = Vec::new();
     let mut checks = Vec::new();
-    for platform in [Platform::Dardel, Platform::Vera] {
-        let counts = if opts.fast {
+    let benches = [Bench::Sched, Bench::Sync, Bench::Stream];
+    let counts = |platform: Platform| {
+        if opts.fast {
             // A low and a high count suffice for the shape in fast mode.
             match platform {
                 Platform::Dardel => vec![8, 128],
@@ -146,7 +164,16 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             }
         } else {
             platform.scaling_threads()
-        };
+        }
+    };
+    let mut cells = Vec::new();
+    for platform in [Platform::Dardel, Platform::Vera] {
+        for bench in benches {
+            cells.extend(counts(platform).into_iter().map(|n| (platform, bench, n)));
+        }
+    }
+    let mut envs = cells.iter().zip(envelopes(opts, &cells));
+    for platform in [Platform::Dardel, Platform::Vera] {
         let mut t = Table::new(
             &format!(
                 "Fig 3 ({}): normalized min/max envelope vs threads",
@@ -154,17 +181,19 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
             ),
             &["bench", "threads", "norm min", "norm max"],
         );
-        for bench in [Bench::Sched, Bench::Sync, Bench::Stream] {
-            let mut envs = Vec::new();
-            for &n in &counts {
-                let e = envelope(opts, platform, bench, n);
+        for bench in benches {
+            let envs: Vec<(usize, Envelope)> = envs
+                .by_ref()
+                .take(counts(platform).len())
+                .map(|(&(_, _, n), e)| (n, e))
+                .collect();
+            for (n, e) in &envs {
                 t.row(&[
                     bench.label().to_string(),
                     n.to_string(),
                     fmt_ratio(e.lo),
                     fmt_ratio(e.hi),
                 ]);
-                envs.push((n, e));
             }
             if matches!(bench, Bench::Sync | Bench::Stream) {
                 // Shape: high thread counts show a wider envelope.
@@ -202,7 +231,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "fig3 checks failed:\n{}", rep.render());
     }
 }

@@ -12,13 +12,12 @@
 //!   spread per kernel, pinned much less.
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::{calibrate, Sweep};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
+use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_bench_stream::{kernel_stats, kernels::StreamConfig, StreamKernel};
 use ompvar_core::{fmt_ratio, fmt_us, RunSet, Table};
-use ompvar_rt::region::Schedule;
-use ompvar_rt::runner::RegionRunner;
-use ompvar_rt::simrt::SimRuntime;
+use ompvar_rt::region::{RegionSpec, Schedule};
 
 const PLATFORM: Platform = Platform::Dardel;
 
@@ -35,9 +34,18 @@ pub fn schedbench_runs(opts: &ExpOptions) -> (RunSet, RunSet) {
     let mut cfg = EpccConfig::schedbench_default().fast(opts.outer_reps().min(20));
     cfg.iters_per_thr = if opts.fast { 512 } else { 2048 };
     let region = schedbench::region(&cfg, Schedule::Dynamic { chunk: 1 }, 16);
-    let unbound = run_many(&PLATFORM.unbound_rt(), &region, opts.n_runs(), opts.seed);
-    let pinned = run_many(&PLATFORM.pinned_rt(16), &region, opts.n_runs(), opts.seed);
-    (unbound, pinned)
+    unbound_vs_pinned(opts, &region, 16)
+}
+
+/// `region` as one sweep on the unbound and the pinned `n`-thread
+/// runtime: `(unbound, pinned)` run sets.
+fn unbound_vs_pinned(opts: &ExpOptions, region: &RegionSpec, n: usize) -> (RunSet, RunSet) {
+    let (unbound_rt, pinned_rt) = (PLATFORM.unbound_rt(), PLATFORM.pinned_rt(n));
+    let mut sweep = Sweep::new(opts);
+    sweep.push(&unbound_rt, region.clone(), opts.n_runs(), opts.seed);
+    sweep.push(&pinned_rt, region.clone(), opts.n_runs(), opts.seed);
+    let mut sets = sweep.run_sets().into_iter();
+    (sets.next().unwrap(), sets.next().unwrap())
 }
 
 /// syncbench reduction sub-experiment, `(unbound, pinned)`.
@@ -48,11 +56,9 @@ pub fn syncbench_runs(opts: &ExpOptions) -> (RunSet, RunSet) {
     let cap = if opts.fast { 12 } else { 50 };
     // Calibrate on the pinned runtime (EPCC calibrates in-situ; using the
     // same inner count for both keeps the comparison apples-to-apples).
-    let inner = syncbench::calibrate_inner_reps(&pinned_rt, &cfg, SyncConstruct::Reduction, n, cap);
+    let inner = calibrate(opts, &cfg, &[(&pinned_rt, SyncConstruct::Reduction, n, cap)])[0];
     let region = syncbench::region_with_inner(&cfg, SyncConstruct::Reduction, n, inner);
-    let unbound = run_many(&PLATFORM.unbound_rt(), &region, opts.n_runs(), opts.seed);
-    let pinned = run_many(&pinned_rt, &region, opts.n_runs(), opts.seed);
-    (unbound, pinned)
+    unbound_vs_pinned(opts, &region, n)
 }
 
 /// Per-kernel worst min–max spread across runs.
@@ -67,22 +73,30 @@ pub fn stream_spreads(opts: &ExpOptions) -> (KernelSpreads, KernelSpreads) {
         ..StreamConfig::default()
     };
     let region = ompvar_bench_stream::region(&cfg, n);
-    let spread = |rt: &SimRuntime| -> Vec<(StreamKernel, f64)> {
-        let mut worst: Vec<(StreamKernel, f64)> =
-            StreamKernel::ALL.iter().map(|&k| (k, 0.0)).collect();
-        for i in 0..opts.n_runs() {
-            let res = rt.run_region(&region, opts.seed + i as u64).expect("experiment region completes");
-            let stats = kernel_stats(&res);
-            for (k, w) in worst.iter_mut() {
-                let s = stats[k].max_us / stats[k].min_us;
-                if s > *w {
-                    *w = s;
+    let (unbound_rt, pinned_rt) = (PLATFORM.unbound_rt(), PLATFORM.pinned_rt(n));
+    let mut sweep = Sweep::new(opts);
+    sweep.push(&unbound_rt, region.clone(), opts.n_runs(), opts.seed);
+    sweep.push(&pinned_rt, region, opts.n_runs(), opts.seed);
+    // Per run: each kernel's max/min; per config: the worst over runs.
+    let mut worst = sweep
+        .run(|_, res| {
+            let stats = kernel_stats(res);
+            StreamKernel::ALL.map(|k| stats[&k].max_us / stats[&k].min_us)
+        })
+        .into_iter()
+        .map(|runs| {
+            let mut worst: Vec<(StreamKernel, f64)> =
+                StreamKernel::ALL.iter().map(|&k| (k, 0.0)).collect();
+            for spreads in runs {
+                for ((_, w), s) in worst.iter_mut().zip(spreads) {
+                    if s > *w {
+                        *w = s;
+                    }
                 }
             }
-        }
-        worst
-    };
-    (spread(&PLATFORM.unbound_rt()), spread(&PLATFORM.pinned_rt(n)))
+            worst
+        });
+    (worst.next().unwrap(), worst.next().unwrap())
 }
 
 /// Execute and report.
@@ -182,7 +196,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "fig4 checks failed:\n{}", rep.render());
     }
 }

@@ -18,12 +18,13 @@
 //! outright (plus a cache-refill penalty on resume).
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::{calibrate, Sweep};
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
+use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_bench_stream::{kernel_stats, kernels::StreamConfig, StreamKernel};
-use ompvar_core::{fmt_ratio, RunSet, Table};
-use ompvar_rt::region::Schedule;
-use ompvar_rt::runner::RegionRunner;
+use ompvar_core::{fmt_ratio, RunSet, Summary, Table};
+use ompvar_rt::region::{RegionSpec, Schedule};
+use ompvar_rt::simrt::SimRuntime;
 
 const PLATFORM: Platform = Platform::Dardel;
 
@@ -46,9 +47,25 @@ pub fn schedbench_runs(opts: &ExpOptions) -> (RunSet, RunSet) {
     let mut cfg = EpccConfig::schedbench_default().fast(opts.outer_reps().min(40));
     cfg.iters_per_thr = if opts.fast { 256 } else { 1024 };
     let region = schedbench::region(&cfg, Schedule::Static { chunk: 1 }, n);
-    let st = run_many(&PLATFORM.pinned_rt(n), &region, opts.n_runs(), opts.seed);
-    let mt = run_many(&PLATFORM.pinned_mt_rt(n), &region, opts.n_runs(), opts.seed);
-    (st, mt)
+    let (st_rt, mt_rt) = (PLATFORM.pinned_rt(n), PLATFORM.pinned_mt_rt(n));
+    let mut sets = st_and_mt(opts, &st_rt, &mt_rt, [region]).run_sets().into_iter();
+    (sets.next().unwrap(), sets.next().unwrap())
+}
+
+/// A sweep running every region on the ST runtime and then on the MT
+/// one, cells interleaved `(st, mt)` per region.
+fn st_and_mt<'a>(
+    opts: &ExpOptions,
+    st_rt: &'a SimRuntime,
+    mt_rt: &'a SimRuntime,
+    regions: impl IntoIterator<Item = RegionSpec>,
+) -> Sweep<'a> {
+    let mut sweep = Sweep::new(opts);
+    for region in regions {
+        sweep.push(st_rt, region.clone(), opts.n_runs(), opts.seed);
+        sweep.push(mt_rt, region, opts.n_runs(), opts.seed);
+    }
+    sweep
 }
 
 /// syncbench per-construct CV comparison at 32 threads: for each
@@ -60,19 +77,22 @@ pub fn syncbench_cvs(opts: &ExpOptions) -> Vec<(SyncConstruct, f64, f64)> {
     let cap = crate::fig1::inner_cap(opts, n);
     let st_rt = PLATFORM.pinned_rt(n);
     let mt_rt = PLATFORM.pinned_mt_rt(n);
+    let probes: Vec<_> = SyncConstruct::ALL.iter().map(|&c| (&st_rt, c, n, cap)).collect();
+    let inners = calibrate(opts, &cfg, &probes);
+    let regions = SyncConstruct::ALL
+        .iter()
+        .zip(inners)
+        .map(|(&c, inner)| syncbench::region_with_inner(&cfg, c, n, inner));
+    // Per run only its repetition CV; per cell the mean over runs.
+    let mean_cvs: Vec<f64> = st_and_mt(opts, &st_rt, &mt_rt, regions)
+        .run(|_, res| Summary::of(res.reps()).cv)
+        .into_iter()
+        .map(|cvs| cvs.iter().sum::<f64>() / cvs.len() as f64)
+        .collect();
     SyncConstruct::ALL
         .iter()
-        .map(|&c| {
-            let inner = syncbench::calibrate_inner_reps(&st_rt, &cfg, c, n, cap);
-            let region = syncbench::region_with_inner(&cfg, c, n, inner);
-            let st = run_many(&st_rt, &region, opts.n_runs(), opts.seed);
-            let mt = run_many(&mt_rt, &region, opts.n_runs(), opts.seed);
-            let mean_cv = |rs: &RunSet| {
-                let cvs = rs.run_cvs();
-                cvs.iter().sum::<f64>() / cvs.len() as f64
-            };
-            (c, mean_cv(&st), mean_cv(&mt))
-        })
+        .zip(mean_cvs.chunks(2))
+        .map(|(&c, st_mt)| (c, st_mt[0], st_mt[1]))
         .collect()
 }
 
@@ -93,23 +113,23 @@ pub fn stream_envelopes(opts: &ExpOptions) -> ((f64, f64), (f64, f64)) {
         ..StreamConfig::default()
     };
     let region = ompvar_bench_stream::region(&cfg, n);
-    let envelope = |rt: &ompvar_rt::simrt::SimRuntime| {
-        let (mut time_sum, mut spread_sum, mut count) = (0.0, 0.0, 0usize);
-        for i in 0..opts.n_runs() {
-            let res = rt.run_region(&region, opts.seed + i as u64).expect("experiment region completes");
-            let stats = kernel_stats(&res);
-            for k in StreamKernel::ALL {
-                time_sum += stats[&k].avg_us;
-                spread_sum += stats[&k].max_us - stats[&k].min_us;
+    let (st_rt, mt_rt) = (PLATFORM.pinned_rt(n), PLATFORM.pinned_mt_rt(n));
+    let mut envelopes = st_and_mt(opts, &st_rt, &mt_rt, [region])
+        .run(|_, res| {
+            let stats = kernel_stats(res);
+            StreamKernel::ALL.map(|k| (stats[&k].avg_us, stats[&k].max_us - stats[&k].min_us))
+        })
+        .into_iter()
+        .map(|runs| {
+            let (mut time_sum, mut spread_sum, mut count) = (0.0, 0.0, 0usize);
+            for (time, spread) in runs.into_iter().flatten() {
+                time_sum += time;
+                spread_sum += spread;
                 count += 1;
             }
-        }
-        (time_sum / count as f64, spread_sum / count as f64)
-    };
-    (
-        envelope(&PLATFORM.pinned_rt(n)),
-        envelope(&PLATFORM.pinned_mt_rt(n)),
-    )
+            (time_sum / count as f64, spread_sum / count as f64)
+        });
+    (envelopes.next().unwrap(), envelopes.next().unwrap())
 }
 
 /// Execute and report.
@@ -197,7 +217,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "fig5 checks failed:\n{}", rep.render());
     }
 }

@@ -17,8 +17,9 @@
 //! the active-core count, forcing retargets.
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::Sweep;
 use ompvar_bench_epcc::syncbench::{self, SyncConstruct};
-use ompvar_bench_epcc::{run_many_full, schedbench, EpccConfig};
+use ompvar_bench_epcc::{schedbench, EpccConfig};
 use ompvar_core::{fmt_ratio, FreqTrace, RunSet, Table};
 use ompvar_rt::config::RegionResult;
 use ompvar_rt::region::{RegionSpec, Schedule};
@@ -100,37 +101,73 @@ pub struct PlacementOutcome {
 
 /// Run one driver × placement cell.
 pub fn outcome(opts: &ExpOptions, driver: Driver, placement: Placement) -> PlacementOutcome {
-    let rt = placement.runtime();
-    let region = build_region(driver, opts);
-    let (runs, full) = run_many_full(&rt, &region, opts.n_runs(), opts.seed);
-    let cores = placement.benchmark_cores();
-    let mut transitions = 0usize;
-    let mut droop_samples = 0usize;
-    let mut total_samples = 0usize;
-    let mut total_secs = 0.0;
-    for res in &full {
+    outcomes(opts, driver, &[placement]).remove(0)
+}
+
+/// What one run contributes to its [`PlacementOutcome`].
+struct RunFreq {
+    reps: Vec<f64>,
+    transitions: usize,
+    secs: f64,
+    droop_samples: usize,
+    samples: usize,
+}
+
+impl RunFreq {
+    fn of(res: &RegionResult, cores: &[usize]) -> RunFreq {
         let trace = to_trace(res);
-        transitions += trace.transitions_over(&cores, 0.05);
-        total_secs += res.wall_us / 1e6;
         // A sample "droops" when any benchmark core is >100 MHz below the
         // maximum frequency observed on benchmark cores in this run.
         let peak = cores
             .iter()
             .map(|&c| trace.band(c).1)
             .fold(f32::NEG_INFINITY, f32::max);
-        for i in 0..trace.len() {
-            total_samples += 1;
-            if cores.iter().any(|&c| trace.core_ghz[i][c] < peak - 0.1) {
-                droop_samples += 1;
-            }
+        let droop_samples = (0..trace.len())
+            .filter(|&i| cores.iter().any(|&c| trace.core_ghz[i][c] < peak - 0.1))
+            .count();
+        RunFreq {
+            reps: res.reps().to_vec(),
+            transitions: trace.transitions_over(cores, 0.05),
+            secs: res.wall_us / 1e6,
+            droop_samples,
+            samples: trace.len(),
         }
     }
-    PlacementOutcome {
-        runs,
-        transitions_per_core_sec: transitions as f64
-            / (cores.len() as f64 * total_secs.max(1e-9)),
-        drooped_fraction: droop_samples as f64 / total_samples.max(1) as f64,
+}
+
+/// Run one driver under several placements as one sweep.
+fn outcomes(opts: &ExpOptions, driver: Driver, placements: &[Placement]) -> Vec<PlacementOutcome> {
+    let rts: Vec<_> = placements.iter().map(Placement::runtime).collect();
+    let cores: Vec<_> = placements.iter().map(Placement::benchmark_cores).collect();
+    let mut sweep = Sweep::new(opts);
+    for rt in &rts {
+        sweep.push(rt, build_region(driver, opts), opts.n_runs(), opts.seed);
     }
+    sweep
+        .run(|c, res| RunFreq::of(res, &cores[c]))
+        .into_iter()
+        .zip(&cores)
+        .map(|(runs, cores)| {
+            let mut transitions = 0usize;
+            let mut droop_samples = 0usize;
+            let mut total_samples = 0usize;
+            let mut total_secs = 0.0;
+            let mut reps = Vec::with_capacity(runs.len());
+            for run in runs {
+                transitions += run.transitions;
+                total_secs += run.secs;
+                droop_samples += run.droop_samples;
+                total_samples += run.samples;
+                reps.push(run.reps);
+            }
+            PlacementOutcome {
+                runs: RunSet::new(reps),
+                transitions_per_core_sec: transitions as f64
+                    / (cores.len() as f64 * total_secs.max(1e-9)),
+                drooped_fraction: droop_samples as f64 / total_samples.max(1) as f64,
+            }
+        })
+        .collect()
 }
 
 /// Median of the per-run CVs: robust against one run being hit by a rare
@@ -155,8 +192,10 @@ pub fn run_driver(opts: &ExpOptions, driver: Driver) -> ExpReport {
         Driver::Sched => "fig6",
         Driver::Sync => "fig7",
     };
-    let one = outcome(opts, driver, Placement::OneNuma);
-    let two = outcome(opts, driver, Placement::TwoNumas);
+    let [one, two]: [PlacementOutcome; 2] =
+        outcomes(opts, driver, &[Placement::OneNuma, Placement::TwoNumas])
+            .try_into()
+            .expect("one outcome per placement");
 
     let mut t = Table::new(
         &format!(
@@ -231,13 +270,13 @@ mod tests {
 
     #[test]
     fn fig6_fast_mode_shapes_hold() {
-        let rep = run_fig6(&ExpOptions::fast());
+        let rep = run_fig6(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "fig6 checks failed:\n{}", rep.render());
     }
 
     #[test]
     fn fig7_fast_mode_shapes_hold() {
-        let rep = run_fig7(&ExpOptions::fast());
+        let rep = run_fig7(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "fig7 checks failed:\n{}", rep.render());
     }
 }

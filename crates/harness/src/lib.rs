@@ -6,6 +6,7 @@
 //! [`common::ExpReport`] with paper-style tables and shape checks.
 
 pub mod common;
+pub mod sweep;
 pub mod table2;
 
 pub use common::{Check, ExpOptions, ExpReport, Platform};

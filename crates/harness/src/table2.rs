@@ -6,8 +6,9 @@
 //! ~154 ms).
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
-use ompvar_bench_epcc::{run_many, schedbench, EpccConfig};
-use ompvar_core::{fmt_us, RunSet, Table};
+use crate::sweep::Sweep;
+use ompvar_bench_epcc::{schedbench, EpccConfig};
+use ompvar_core::{fmt_us, Table};
 use ompvar_rt::region::Schedule;
 
 /// Paper values for the shape comparison (mean over the non-outlier runs,
@@ -36,23 +37,27 @@ pub fn collect(opts: &ExpOptions) -> Vec<Table2Column> {
     if opts.fast {
         cfg.iters_per_thr = 1024;
     }
-    let mut cols = Vec::new();
-    for (platform, threads) in [
+    let columns = [
         (Platform::Dardel, 4),
         (Platform::Dardel, 254),
         (Platform::Vera, 4),
         (Platform::Vera, 30),
-    ] {
-        let rt = platform.pinned_rt(threads);
+    ];
+    let rts: Vec<_> = columns.iter().map(|&(p, n)| p.pinned_rt(n)).collect();
+    let mut sweep = Sweep::new(opts);
+    for (rt, &(_, threads)) in rts.iter().zip(&columns) {
         let region = schedbench::region(&cfg, Schedule::Dynamic { chunk: 1 }, threads);
-        let rs: RunSet = run_many(&rt, &region, opts.n_runs(), opts.seed);
-        cols.push(Table2Column {
+        sweep.push(rt, region, opts.n_runs(), opts.seed);
+    }
+    columns
+        .iter()
+        .zip(sweep.run_sets())
+        .map(|(&(platform, threads), rs)| Table2Column {
             platform,
             threads,
             run_means_us: rs.run_means(),
-        });
-    }
-    cols
+        })
+        .collect()
 }
 
 /// Execute and report.
@@ -135,7 +140,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(
             rep.all_passed(),
             "table2 shape checks failed:\n{}",

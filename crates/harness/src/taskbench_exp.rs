@@ -8,10 +8,10 @@
 //! or stealer being preempted stalls the drain).
 
 use crate::common::{Check, ExpOptions, ExpReport, Platform};
+use crate::sweep::Sweep;
 use ompvar_bench_epcc::taskbench::{self, TaskPattern};
-use ompvar_bench_epcc::{run_many, EpccConfig};
+use ompvar_bench_epcc::EpccConfig;
 use ompvar_core::Table;
-use ompvar_rt::runner::RegionRunner;
 
 fn cfg(opts: &ExpOptions) -> EpccConfig {
     EpccConfig::syncbench_default().fast(opts.outer_reps().min(40))
@@ -26,17 +26,20 @@ pub fn scaling_series(
 ) -> Vec<(usize, f64)> {
     let cfg = cfg(opts);
     let tasks = 64;
-    platform
-        .scaling_threads()
+    let counts = platform.scaling_threads();
+    let rts: Vec<_> = counts.iter().map(|&n| platform.pinned_rt(n)).collect();
+    let mut sweep = Sweep::new(opts);
+    for (&n, rt) in counts.iter().zip(&rts) {
+        sweep.push(rt, taskbench::region(&cfg, pattern, n, tasks), 1, opts.seed);
+    }
+    let means = sweep.run(|_, res| res.reps().iter().sum::<f64>() / res.reps().len() as f64);
+    counts
         .into_iter()
-        .map(|n| {
-            let rt = platform.pinned_rt(n);
-            let region = taskbench::region(&cfg, pattern, n, tasks);
-            let res = rt.run_region(&region, opts.seed).expect("experiment region completes");
-            let mean = res.reps().iter().sum::<f64>() / res.reps().len() as f64;
+        .zip(means)
+        .map(|(n, mean)| {
             (
                 n,
-                taskbench::overhead_per_task_us(&cfg, pattern, n, tasks, mean),
+                taskbench::overhead_per_task_us(&cfg, pattern, n, tasks, mean[0]),
             )
         })
         .collect()
@@ -79,12 +82,16 @@ pub fn run(opts: &ExpOptions) -> ExpReport {
     let n = 32;
     let c = cfg(opts);
     let region = taskbench::region(&c, TaskPattern::ParallelTask, n, 64);
-    let cv = |rt: &ompvar_rt::simrt::SimRuntime| {
-        let rs = run_many(rt, &region, opts.n_runs(), opts.seed);
-        ompvar_core::percentile(&rs.run_cvs(), 50.0)
-    };
-    let st = cv(&Platform::Dardel.pinned_rt(n));
-    let mt = cv(&Platform::Dardel.pinned_mt_rt(n));
+    let (st_rt, mt_rt) = (Platform::Dardel.pinned_rt(n), Platform::Dardel.pinned_mt_rt(n));
+    let mut sweep = Sweep::new(opts);
+    sweep.push(&st_rt, region.clone(), opts.n_runs(), opts.seed);
+    sweep.push(&mt_rt, region, opts.n_runs(), opts.seed);
+    let cvs: Vec<f64> = sweep
+        .run_sets()
+        .iter()
+        .map(|rs| ompvar_core::percentile(&rs.run_cvs(), 50.0))
+        .collect();
+    let (st, mt) = (cvs[0], cvs[1]);
     let mut t = Table::new(
         "Taskbench: ST vs MT median per-run CV, 32 threads, Dardel",
         &["config", "median cv"],
@@ -111,7 +118,7 @@ mod tests {
 
     #[test]
     fn fast_mode_shapes_hold() {
-        let rep = run(&ExpOptions::fast());
+        let rep = run(&ExpOptions { jobs: 2, ..ExpOptions::fast() });
         assert!(rep.all_passed(), "taskbench checks failed:\n{}", rep.render());
     }
 }

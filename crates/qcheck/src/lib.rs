@@ -16,8 +16,8 @@
 //! and is accepted (flagged programs run sim-only).
 //!
 //! The top-level drivers are [`run_fuzz`] and its multi-threaded twin
-//! [`run_fuzz_parallel`] (cases self-scheduled off an atomic counter,
-//! report merged deterministically — oracle #10 holds the two to
+//! [`run_fuzz_parallel`] (cases fanned out by the supervisor's ordered
+//! parallel map, report merged in case order — oracle #10 holds the two to
 //! byte-identical reports); the harness exposes them as the `fuzz`
 //! experiment (`ompvar-repro fuzz --fuzz-cases N --seed S --jobs J`).
 
@@ -159,53 +159,30 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
 
 /// Run a fuzzing campaign across `jobs` worker threads.
 ///
-/// Workers self-schedule cases off a shared atomic counter, tally
-/// coverage and collect failures locally, and the locals are merged
-/// afterwards (coverage added, failures sorted by case index). Each case
-/// is a pure function of `(cfg, case)`, so the report is **identical**
-/// to [`run_fuzz`]'s regardless of `jobs` — oracle #10
-/// ([`oracle::check_jobs_equivalence`]) holds the drivers to exactly
-/// that.
+/// Cases run through the supervisor's ordered parallel map
+/// ([`ompvar_supervisor::par_map`]), each tallying its own coverage;
+/// the per-case results are merged in case order (coverage added,
+/// failures appended). Each case is a pure function of `(cfg, case)`,
+/// so the report is **identical** to [`run_fuzz`]'s regardless of
+/// `jobs` — oracle #10 ([`oracle::check_jobs_equivalence`]) holds the
+/// drivers to exactly that.
 pub fn run_fuzz_parallel(cfg: &FuzzConfig, jobs: usize) -> FuzzReport {
-    let jobs = jobs.max(1);
-    if jobs == 1 {
-        return run_fuzz(cfg);
-    }
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let next = AtomicU64::new(0);
+    let n = usize::try_from(cfg.cases).expect("case count fits in memory");
+    let cases = ompvar_supervisor::par_map(n, jobs, |case| {
+        let mut coverage = BTreeMap::new();
+        let failure = run_case(cfg, case as u64, &mut coverage);
+        (coverage, failure)
+    });
     let mut report = FuzzReport {
         cases: cfg.cases,
         ..FuzzReport::default()
     };
-    let locals: Vec<(BTreeMap<&'static str, u64>, Vec<FuzzFailure>)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut coverage = BTreeMap::new();
-                        let mut failures = Vec::new();
-                        loop {
-                            let case = next.fetch_add(1, Ordering::Relaxed);
-                            if case >= cfg.cases {
-                                break;
-                            }
-                            if let Some(f) = run_case(cfg, case, &mut coverage) {
-                                failures.push(f);
-                            }
-                        }
-                        (coverage, failures)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("fuzz worker")).collect()
-        });
-    for (coverage, failures) in locals {
+    for (coverage, failure) in cases {
         for (k, v) in coverage {
             *report.coverage.entry(k).or_insert(0) += v;
         }
-        report.failures.extend(failures);
+        report.failures.extend(failure);
     }
-    report.failures.sort_by_key(|f| f.case);
     report
 }
 
@@ -238,7 +215,6 @@ mod tests {
             let par = run_fuzz_parallel(&cfg, jobs);
             assert_eq!(seq, par, "jobs={jobs}");
         }
-        // jobs=1 short-circuits to the sequential driver.
         assert_eq!(seq, run_fuzz_parallel(&cfg, 1));
     }
 

@@ -7,6 +7,8 @@
 //! counting global allocator: the *difference* in allocation count
 //! between a long run and a short run of the same barrier-cycle
 //! workload must stay O(1) — independent of how many cycles execute.
+//! The count is per thread: the engine runs on the calling thread, and
+//! other tests running concurrently must not show up in it.
 //!
 //! (An absolute count would be brittle against setup-path changes; the
 //! delta isolates exactly the steady-state loop.)
@@ -15,23 +17,38 @@ use ompvar_sim::prelude::*;
 use ompvar_sim::time::SEC;
 use ompvar_topology::{HwThreadId, MachineSpec, Place};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so tests running concurrently on other threads cannot
+    // leak into each other's deltas. A `const` initialiser and a type
+    // without `Drop` mean the slot is never lazily initialised and has
+    // no destructor: touching it from inside the allocator never
+    // allocates and stays valid during thread teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 struct CountingAlloc;
 
 // SAFETY: delegates directly to `System`; the counter is a side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -68,9 +85,9 @@ fn allocs_for_mode(reps: u32, attributed: bool) -> u64 {
             .build();
         sim.spawn_user(rank, prog, Some(Place::single(HwThreadId(rank))));
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let report = sim.run(100 * SEC).expect("barrier cycles complete");
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(report.unfinished, 0);
     after - before
 }

@@ -169,7 +169,7 @@ fn header_json(h: &Header) -> String {
         .collect();
     format!(
         "{{\"schema\":\"{SCHEMA}\",\"kind\":\"campaign\",\"seed\":{},\"fast\":{},\"targets\":[{}]}}",
-        h.seed,
+        seed_json(h.seed),
         h.fast,
         targets.join(",")
     )
@@ -205,6 +205,26 @@ fn u64_of(v: &Value, key: &str) -> Option<u64> {
     (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
 }
 
+/// JSON numbers parse as `f64`, exact for integers up to 2^53.
+const MAX_EXACT_F64_INT: u64 = 1 << 53;
+
+/// The header seed: a JSON number while it parses back exactly (the
+/// format every manifest has used), a decimal string above 2^53.
+fn seed_json(seed: u64) -> String {
+    if seed <= MAX_EXACT_F64_INT {
+        seed.to_string()
+    } else {
+        format!("\"{seed}\"")
+    }
+}
+
+fn seed_of(v: &Value) -> Option<u64> {
+    match v.get("seed")? {
+        Value::Str(s) => s.parse().ok(),
+        _ => u64_of(v, "seed"),
+    }
+}
+
 fn header_from(v: &Value) -> Option<Header> {
     if v.get("schema")?.as_str()? != SCHEMA || v.get("kind")?.as_str()? != "campaign" {
         return None;
@@ -216,7 +236,7 @@ fn header_from(v: &Value) -> Option<Header> {
         .map(|t| t.as_str().map(str::to_string))
         .collect::<Option<Vec<_>>>()?;
     Some(Header {
-        seed: u64_of(v, "seed")?,
+        seed: seed_of(v)?,
         fast: v.get("fast")?.as_bool()?,
         targets,
     })
@@ -920,6 +940,30 @@ mod tests {
         assert_eq!(reopened.len(), 4);
         assert_eq!(merged.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeds above 2^53 do not survive a JSON number's `f64` round trip;
+    /// a campaign at such a seed must still resume its own journal.
+    #[test]
+    fn seeds_beyond_f64_precision_resume() {
+        for seed in [MAX_EXACT_F64_INT, MAX_EXACT_F64_INT + 1, u64::MAX] {
+            let path = tmp(&format!("bigseed_{seed}"));
+            let dir = path.parent().unwrap().to_path_buf();
+            let h = Header { seed, ..shard_header(&["a", "b"]) };
+            let mut shards = create_shards(&dir, "m", &h, 2).unwrap();
+            shards[1].append(entry("b")).unwrap();
+            drop(shards);
+            let (_, merged) = resume_shards(&dir, "m", &h, 2)
+                .unwrap_or_else(|e| panic!("seed {seed} does not resume: {e}"));
+            assert_eq!(merged.len(), 1);
+            // A neighbouring seed is still a different campaign.
+            let other = Header { seed: seed - 1, ..h.clone() };
+            assert!(matches!(
+                resume_shards(&dir, "m", &other, 2),
+                Err(CheckpointError::Mismatch(_))
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// A fresh sharded campaign removes every stale shard file, even

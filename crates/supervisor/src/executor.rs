@@ -44,7 +44,7 @@ use ompvar_obs::{InstantKind, Trace, TraceEvent};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -57,6 +57,118 @@ pub fn resolve_jobs(requested: usize) -> usize {
     } else {
         requested
     }
+}
+
+/// Threads running [`par_map`] items right now, process-wide: the
+/// budget helpers are lent against.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// Ordered parallel map: `f(0), …, f(n − 1)` on up to `jobs` threads,
+/// results returned in index order.
+///
+/// Items are claimed in increasing index order off a shared counter, so
+/// uneven item costs balance themselves. The calling thread always works
+/// on the items. Helper threads — at most `jobs − 1` live at once — are
+/// added only while fewer than `jobs` threads run `par_map` items
+/// process-wide, and retire at an item boundary when more do. So maps
+/// running side by side (one per campaign worker) share `jobs` cores
+/// instead of oversubscribing them, and a map left running alone picks
+/// up the cores the others freed. Fewer live threads also means fewer
+/// allocator arenas holding memory.
+///
+/// Each result lands in the slot of its index, so the output is
+/// identical at every `jobs` and every thread schedule whenever `f` is a
+/// pure function of its index. If items panic, the original payload of
+/// the **lowest-index** failing item is re-raised with
+/// [`std::panic::resume_unwind`], again at every `jobs`: after the first
+/// panic no new item is claimed, and every item below it was claimed
+/// already and runs to completion.
+pub fn par_map<R: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    // One thread's share: the items it ran, and its first panic.
+    type Share<R> = (Vec<(usize, R)>, Option<(usize, Box<dyn Any + Send>)>);
+    let jobs = jobs.clamp(1, n.max(1));
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let live_helpers = AtomicUsize::new(0);
+    let remaining = || !failed.load(Ordering::SeqCst) && next.load(Ordering::SeqCst) < n;
+    // Run items while `go_on` agrees; the thread's slot in `BUSY` is
+    // taken by the caller of `work`.
+    let work = |go_on: &mut dyn FnMut() -> bool| -> Share<R> {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::SeqCst) && go_on() {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            if i >= n {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                Ok(r) => done.push((i, r)),
+                Err(payload) => {
+                    failed.store(true, Ordering::SeqCst);
+                    return (done, Some((i, payload)));
+                }
+            }
+        }
+        (done, None)
+    };
+    // A helper retires, releasing its slot, while more than `jobs`
+    // threads run items; otherwise it releases the slot when done.
+    let helper = || {
+        let mut retired = false;
+        let share = work(&mut || {
+            retired = BUSY
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| (b > jobs).then(|| b - 1))
+                .is_ok();
+            !retired
+        });
+        if !retired {
+            BUSY.fetch_sub(1, Ordering::SeqCst);
+        }
+        live_helpers.fetch_sub(1, Ordering::SeqCst);
+        share
+    };
+    let shares: Vec<Share<R>> = thread::scope(|s| {
+        let mut helpers = Vec::new();
+        BUSY.fetch_add(1, Ordering::SeqCst);
+        // Before each item, add helpers while the budget has room.
+        let mine = work(&mut || {
+            while remaining()
+                && live_helpers.load(Ordering::SeqCst) + 1 < jobs
+                && BUSY
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| (b < jobs).then_some(b + 1))
+                    .is_ok()
+            {
+                live_helpers.fetch_add(1, Ordering::SeqCst);
+                helpers.push(s.spawn(helper));
+            }
+            true
+        });
+        BUSY.fetch_sub(1, Ordering::SeqCst);
+        let mut shares = vec![mine];
+        for h in helpers {
+            // `work` catches every item panic, so a helper cannot panic.
+            shares.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        shares
+    });
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
+    for (done, panic) in shares {
+        for (i, r) in done {
+            slots[i] = Some(r);
+        }
+        if let Some((i, p)) = panic {
+            if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
+                first_panic = Some((i, p));
+            }
+        }
+    }
+    if let Some((_, payload)) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index below n is claimed when no item panicked"))
+        .collect()
 }
 
 /// Executor policy knobs.
@@ -1007,6 +1119,46 @@ mod tests {
     fn resolve_jobs_auto_detects_on_zero() {
         assert!(resolve_jobs(0) >= 1);
         assert_eq!(resolve_jobs(3), 3);
+    }
+
+    #[test]
+    fn par_map_returns_results_in_index_order() {
+        // Uneven costs: early items are the slowest, so at jobs > 1 later
+        // items finish first.
+        let f = |i: usize| {
+            thread::sleep(Duration::from_millis(((12 - i) % 5) as u64 * 2));
+            i * i
+        };
+        let want: Vec<usize> = (0..12).map(|i| i * i).collect();
+        for jobs in [1, 2, 3, 8] {
+            assert_eq!(par_map(12, jobs, f), want, "jobs={jobs}");
+        }
+        assert!(par_map(0, 4, f).is_empty());
+    }
+
+    #[test]
+    fn par_map_reraises_the_lowest_index_panic() {
+        for jobs in [1, 2, 3, 8] {
+            let payload = catch_unwind(|| {
+                par_map(8, jobs, |i| {
+                    if i == 2 {
+                        // Item 5 panics first whenever it runs alongside.
+                        thread::sleep(Duration::from_millis(20));
+                        panic!("item 2 failed");
+                    }
+                    if i == 5 {
+                        panic!("item 5 failed");
+                    }
+                    i
+                })
+            })
+            .expect_err("items 2 and 5 panic");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"item 2 failed"),
+                "jobs={jobs}"
+            );
+        }
     }
 
     /// A reaped attempt whose thread is still alive when the campaign

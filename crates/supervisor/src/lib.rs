@@ -47,7 +47,7 @@ pub use checkpoint::{
     CheckpointError, Entry, Header, Manifest, RetryRecord, UnitStatus, SCHEMA,
 };
 pub use executor::{
-    resolve_jobs, run_campaign, CampaignRun, ExecUnit, ExecutorConfig, Progress, UnitResult,
+    par_map, resolve_jobs, run_campaign, CampaignRun, ExecUnit, ExecutorConfig, Progress, UnitResult,
     Watchdog,
 };
 pub use classify::{classify, classify_io, classify_panic, classify_region, classify_sim, Transience};

@@ -9,7 +9,7 @@
 //! ```
 
 use ompvar::core::FreqTrace;
-use ompvar::epcc::{run_many_full, schedbench, EpccConfig};
+use ompvar::epcc::{schedbench, EpccConfig};
 use ompvar::harness::fig67::{outcome, Driver, Placement};
 use ompvar::harness::{ExpOptions, Platform};
 use ompvar::rt::{RegionRunner, Schedule};
@@ -68,9 +68,6 @@ fn main() {
             two.transitions_per_core_sec,
         );
     }
-    // Keep the unused import honest: run_many_full is the API examples
-    // would use to collect traces across runs.
-    let _ = run_many_full::<ompvar::rt::SimRuntime>;
     println!(
         "\n→ 16 active cores pin the socket at its stable all-core turbo;\n  \
          8 active cores per socket sit in an unstable few-core turbo state\n  \
