@@ -1,10 +1,12 @@
 //! A shared wall-clock deadline for one native region run.
 //!
-//! Every spinning wait in the native backend (barrier, ordered ticket,
-//! task-pool drain) periodically consults the run's [`RunGuard`]. When
-//! the absolute deadline passes — or any teammate has already tripped
-//! the guard — the wait gives up and the run reports a typed timeout
-//! instead of hanging forever on a lost ticket or a crashed teammate.
+//! The run checks its [`RunGuard`] once at team start, so a deadline
+//! that has already passed always times out; after that, every spinning
+//! wait in the native backend (barrier, ordered ticket, task-pool drain)
+//! consults it every 1024 spins. When the absolute deadline passes — or
+//! any teammate has already tripped the guard — the wait gives up and
+//! the run reports a typed timeout instead of hanging forever on a lost
+//! ticket or a crashed teammate.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};

@@ -331,6 +331,16 @@ impl NativeRuntime {
         let assignment = host_assignment(&self.config, n);
 
         let guard = RunGuard::new(self.deadline);
+        // Spinning waits consult the guard only every 1024 spins, so a
+        // team that never spins that long would finish a run whose
+        // deadline had already passed. One check at team start makes
+        // that case a timeout every time.
+        if guard.expired() {
+            return Err(RtError::Timeout {
+                construct: "team start",
+                deadline: guard.budget().unwrap_or_default(),
+            });
+        }
         let t0 = Instant::now();
         let marks: Mutex<Vec<(u32, f64)>> = Mutex::new(Vec::new());
         let first_timeout: Mutex<Option<&'static str>> = Mutex::new(None);

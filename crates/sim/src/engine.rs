@@ -1224,14 +1224,12 @@ impl Simulator {
             }
             debug_assert!(self.tasks[ti].current.is_none());
             debug_assert_eq!(self.tasks[ti].state, TaskState::Runnable);
-            let Some(micro) = self.tasks[ti].micro.pop_front() else {
-                if !self.expand_next_op(tid) {
-                    if self.fatal.is_none() {
-                        self.finish_task(tid);
-                    }
-                    return;
+            let next = self.tasks[ti].micro.pop_front();
+            let Some(micro) = next.or_else(|| self.expand_next_op(tid)) else {
+                if self.fatal.is_none() {
+                    self.finish_task(tid);
                 }
-                continue;
+                return;
             };
             match micro {
                 MicroOp::Timed(t) => {
@@ -1448,17 +1446,18 @@ impl Simulator {
         }
     }
 
-    /// Expand the op at `pc` into micro-ops. Returns `false` when the
-    /// program has ended.
-    fn expand_next_op(&mut self, tid: TaskId) -> bool {
+    /// Expand the op at `pc` and return its first micro-op; any further
+    /// micro-ops of the same op (a barrier's `BarrierArrive`, the rest of
+    /// a spawn burst) go to the task's deque, which is empty on entry.
+    /// Returns `None` when the program has ended.
+    fn expand_next_op(&mut self, tid: TaskId) -> Option<MicroOp> {
         let ti = tid.0 as usize;
+        debug_assert!(self.tasks[ti].micro.is_empty());
         loop {
             let pc = self.tasks[ti].pc;
-            if pc >= self.tasks[ti].program.ops().len() {
-                return false;
-            }
-            let op = self.tasks[ti].program.ops()[pc];
-            match op {
+            let op = *self.tasks[ti].program.ops().get(pc)?;
+            self.tasks[ti].pc += 1;
+            let first = match op {
                 Op::LoopBegin { count } => {
                     self.tasks[ti]
                         .frames
@@ -1466,73 +1465,45 @@ impl Simulator {
                             begin_pc: pc,
                             remaining: count - 1,
                         });
-                    self.tasks[ti].pc += 1;
                     continue;
                 }
                 Op::LoopEnd => {
-                    let frame = self
-                        .tasks[ti]
-                        .frames
-                        .last_mut()
-                        .expect("LoopEnd without frame");
+                    let t = &mut self.tasks[ti];
+                    let frame = t.frames.last_mut().expect("LoopEnd without frame");
                     if frame.remaining > 0 {
                         frame.remaining -= 1;
-                        let back = frame.begin_pc + 1;
-                        self.tasks[ti].pc = back;
+                        t.pc = frame.begin_pc + 1;
                     } else {
-                        self.tasks[ti].frames.pop();
-                        self.tasks[ti].pc += 1;
+                        t.frames.pop();
                     }
                     continue;
                 }
-                Op::Compute { cycles, class } => {
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::Timed(Timed::Cycles { rem: cycles, class }));
-                }
-                Op::Busy { ns } => {
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::Timed(Timed::Ns { rem: ns }));
-                }
-                Op::MemStream { bytes } => {
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::Timed(Timed::Bytes { rem: bytes }));
-                }
-                Op::Mark { marker } => {
-                    self.tasks[ti].micro.push_back(MicroOp::Mark(marker));
-                }
+                Op::Compute { cycles, class } => MicroOp::Timed(Timed::Cycles { rem: cycles, class }),
+                Op::Busy { ns } => MicroOp::Timed(Timed::Ns { rem: ns }),
+                Op::MemStream { bytes } => MicroOp::Timed(Timed::Bytes { rem: bytes }),
+                Op::Mark { marker } => MicroOp::Mark(marker),
                 Op::Barrier { obj } => {
                     let (n, span) = match &self.objs[obj.0 as usize] {
                         SyncObj::Barrier(b) => (b.n, b.span_factor),
                         _ => {
                             self.type_mismatch("Barrier", obj, "barrier");
-                            return false;
+                            return None;
                         }
                     };
                     let arrive = self.params.sync.barrier_arrive_ns
                         + self.params.sync.barrier_arrive_per_thread_ns
                             * (n.saturating_sub(1)) as f64
                             * span;
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::Timed(Timed::Ns { rem: arrive }));
                     self.tasks[ti].micro.push_back(MicroOp::BarrierArrive(obj));
                     // The barrier span covers arrive overhead + wait: it
                     // opens here and closes on release (in `wake`, or in
                     // `barrier_arrive` for the last arriver).
                     self.trace_task(tid, TraceKind::Begin(SpanKind::Barrier));
+                    MicroOp::Timed(Timed::Ns { rem: arrive })
                 }
-                Op::LockAcquire { obj } => {
-                    self.tasks[ti].micro.push_back(MicroOp::LockAcquire(obj));
-                }
-                Op::LockRelease { obj } => {
-                    self.tasks[ti].micro.push_back(MicroOp::LockRelease(obj));
-                }
-                Op::AtomicOp { obj } => {
-                    self.tasks[ti].micro.push_back(MicroOp::AtomicStart(obj));
-                }
+                Op::LockAcquire { obj } => MicroOp::LockAcquire(obj),
+                Op::LockRelease { obj } => MicroOp::LockRelease(obj),
+                Op::AtomicOp { obj } => MicroOp::AtomicStart(obj),
                 Op::ForLoop { obj } => {
                     // Re-arm the task-private loop cursor: it is shared
                     // across loop objects, and two distinct loops whose
@@ -1541,31 +1512,27 @@ impl Simulator {
                     // and hand this task no work at all.
                     self.tasks[ti].loop_gen = u64::MAX;
                     self.tasks[ti].loop_pos = 0;
-                    self.tasks[ti].micro.push_back(MicroOp::GrabChunk(obj));
                     self.trace_task(tid, TraceKind::Begin(SpanKind::Workshare));
+                    MicroOp::GrabChunk(obj)
                 }
-                Op::Single { obj, body_cycles } => {
-                    self.tasks[ti]
-                        .micro
-                        .push_back(MicroOp::SingleTry { obj, body_cycles });
-                }
+                Op::Single { obj, body_cycles } => MicroOp::SingleTry { obj, body_cycles },
                 Op::TaskSpawn {
                     obj,
                     count,
                     body_cycles,
                 } => {
-                    for _ in 0..count {
-                        self.tasks[ti]
-                            .micro
-                            .push_back(MicroOp::TaskSpawnOne { obj, body_cycles });
+                    // An empty burst expands to nothing: fall through to
+                    // the next op rather than ending the task.
+                    if count == 0 {
+                        continue;
                     }
+                    let one = MicroOp::TaskSpawnOne { obj, body_cycles };
+                    self.tasks[ti].micro.extend(std::iter::repeat_n(one, count as usize - 1));
+                    one
                 }
-                Op::TaskWait { obj } => {
-                    self.tasks[ti].micro.push_back(MicroOp::TaskExecOrWait { obj });
-                }
-            }
-            self.tasks[ti].pc += 1;
-            return true;
+                Op::TaskWait { obj } => MicroOp::TaskExecOrWait { obj },
+            };
+            return Some(first);
         }
     }
 

@@ -2,12 +2,20 @@
 //!
 //! The queue has two interchangeable implementations behind one API:
 //!
-//! * **Packed** (default): a 4-ary min-heap over a single `Vec` of
-//!   `(key, kind)` entries, where `key` packs `(time, seq)` into one
-//!   `u128` so ordering is a single integer compare. A 4-ary layout
-//!   halves the tree depth of a binary heap and keeps sift-down's
-//!   child scan inside one or two cache lines — the classic DES
-//!   event-queue layout (`(next_tick, id)` min-heap).
+//! * **Packed** (default): two 4-ary min-heaps that share one sequence
+//!   counter. Each holds `(key, kind)` entries in a single `Vec`, where
+//!   `key` packs `(time, seq)` into one `u128` so ordering is a single
+//!   integer compare; a 4-ary layout halves the tree depth of a binary
+//!   heap and keeps sift-down's child scan inside one or two cache
+//!   lines. The *hot* heap holds only `CpuBoundary` events: one live
+//!   boundary per busy CPU plus the stale ones re-pricing left behind,
+//!   all in the near future. The *cold* heap holds every
+//!   other kind: each CPU's far-future noise arrivals and timer ticks,
+//!   load balancing, frequency and fault events. A single heap of both
+//!   would be hundreds deep and every boundary pop would pay for it.
+//!   `pop`/`peek` take the smaller of the two heads; since keys are
+//!   unique across both heaps, that is exactly the pop order of one
+//!   heap over all events.
 //! * **Reference**: the original `std::collections::BinaryHeap` of
 //!   `HeapEntry` with a reversed `Ord`. Kept verbatim as the
 //!   independently implemented yardstick: qcheck oracle #11 and the
@@ -97,12 +105,13 @@ fn unpack_time(key: u128) -> Time {
 }
 
 // ---------------------------------------------------------------------
-// Optimized path: packed-key 4-ary min-heap
+// Optimized path: two packed-key 4-ary min-heaps
 // ---------------------------------------------------------------------
 
 /// 4-ary min-heap over packed keys. Entries live in one contiguous
 /// `Vec`; each sift-down step scans at most four children that sit next
-/// to each other in memory.
+/// to each other in memory. Both sifts move a hole and write the moved
+/// entry once, instead of swapping 48-byte entries at every level.
 #[derive(Debug, Default)]
 struct PackedHeap {
     entries: Vec<(u128, EventKind)>,
@@ -119,54 +128,55 @@ impl PackedHeap {
 
     #[inline]
     fn push(&mut self, key: u128, kind: EventKind) {
+        let mut i = self.entries.len();
         self.entries.push((key, kind));
-        // Sift up.
-        let mut i = self.entries.len() - 1;
+        // Sift the hole up, then drop the new entry into it.
         while i > 0 {
             let parent = (i - 1) / Self::ARITY;
-            if self.entries[parent].0 <= self.entries[i].0 {
+            if self.entries[parent].0 <= key {
                 break;
             }
-            self.entries.swap(i, parent);
+            self.entries[i] = self.entries[parent];
             i = parent;
         }
+        self.entries[i] = (key, kind);
     }
 
     #[inline]
     fn pop(&mut self) -> Option<(u128, EventKind)> {
+        let last = self.entries.pop()?;
         let n = self.entries.len();
         if n == 0 {
-            return None;
+            return Some(last);
         }
-        self.entries.swap(0, n - 1);
-        let top = self.entries.pop();
-        // Sift down.
-        let n = self.entries.len();
+        let top = self.entries[0];
+        // Sift the hole at the root down, then drop `last` into it.
         let mut i = 0;
         loop {
             let first = i * Self::ARITY + 1;
             if first >= n {
                 break;
             }
-            let last = (first + Self::ARITY).min(n);
+            let end = (first + Self::ARITY).min(n);
             let mut best = first;
-            for c in first + 1..last {
+            for c in first + 1..end {
                 if self.entries[c].0 < self.entries[best].0 {
                     best = c;
                 }
             }
-            if self.entries[best].0 >= self.entries[i].0 {
+            if self.entries[best].0 >= last.0 {
                 break;
             }
-            self.entries.swap(i, best);
+            self.entries[i] = self.entries[best];
             i = best;
         }
-        top
+        self.entries[i] = last;
+        Some(top)
     }
 
     #[inline]
-    fn peek(&self) -> Option<&(u128, EventKind)> {
-        self.entries.first()
+    fn head_key(&self) -> Option<u128> {
+        self.entries.first().map(|e| e.0)
     }
 
     /// Smallest key excluding the root: the minimum over the root's
@@ -181,6 +191,77 @@ impl PackedHeap {
             .iter()
             .map(|e| e.0)
             .min()
+    }
+}
+
+/// The optimized queue: near-future `CpuBoundary` events in a hot heap,
+/// every other kind — far-future noise
+/// arrivals, timer ticks, load balancing, frequency and fault events —
+/// in a cold heap. Keys are unique across both heaps (one shared seq
+/// counter), so taking the smaller head yields exactly the pop order of
+/// a single heap.
+#[derive(Debug)]
+struct TwoTier {
+    hot: PackedHeap,
+    cold: PackedHeap,
+}
+
+impl TwoTier {
+    /// Does the hot heap hold the overall head? `None` when both are
+    /// empty.
+    #[inline]
+    fn head_is_hot(&self) -> Option<bool> {
+        match (self.hot.head_key(), self.cold.head_key()) {
+            (Some(h), Some(c)) => Some(h < c),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, key: u128, kind: EventKind) {
+        match kind {
+            EventKind::CpuBoundary { .. } => self.hot.push(key, kind),
+            _ => self.cold.push(key, kind),
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(u128, EventKind)> {
+        if self.head_is_hot()? {
+            self.hot.pop()
+        } else {
+            self.cold.pop()
+        }
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<&(u128, EventKind)> {
+        if self.head_is_hot()? {
+            self.hot.entries.first()
+        } else {
+            self.cold.entries.first()
+        }
+    }
+
+    /// Second-smallest key across both heaps: the runner-up inside the
+    /// head's heap, or the other heap's head, whichever is smaller.
+    #[inline]
+    fn second_key(&self) -> Option<u128> {
+        let (head, other) = if self.head_is_hot()? {
+            (&self.hot, &self.cold)
+        } else {
+            (&self.cold, &self.hot)
+        };
+        match (head.second_key(), other.head_key()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.hot.entries.len() + self.cold.entries.len()
     }
 }
 
@@ -221,7 +302,7 @@ impl Ord for HeapEntry {
 
 #[derive(Debug)]
 enum QueueImpl {
-    Packed(PackedHeap),
+    Packed(TwoTier),
     Reference(BinaryHeap<HeapEntry>),
 }
 
@@ -239,10 +320,13 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue on the optimized (packed 4-ary heap) path.
+    /// An empty queue on the optimized (two packed 4-ary heaps) path.
     pub fn new() -> Self {
         EventQueue {
-            imp: QueueImpl::Packed(PackedHeap::with_capacity(1024)),
+            imp: QueueImpl::Packed(TwoTier {
+                hot: PackedHeap::with_capacity(256),
+                cold: PackedHeap::with_capacity(1024),
+            }),
             seq: 0,
         }
     }
@@ -316,7 +400,7 @@ impl EventQueue {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.imp {
-            QueueImpl::Packed(h) => h.entries.len(),
+            QueueImpl::Packed(h) => h.len(),
             QueueImpl::Reference(h) => h.len(),
         }
     }
@@ -378,17 +462,20 @@ mod tests {
 
     #[test]
     fn peek_and_second_time_on_packed() {
+        let boundary = EventKind::CpuBoundary { cpu: 0, token: 0 };
         let mut q = EventQueue::new();
         assert!(q.peek().is_none());
         assert!(q.second_time().is_none());
-        q.push(40, EventKind::LoadBalance);
+        q.push(40, boundary);
         assert_eq!(q.peek().unwrap().0, 40);
         assert!(q.second_time().is_none());
         q.push(10, EventKind::FreqSample);
-        q.push(25, EventKind::LoadBalance);
+        q.push(25, boundary);
+        // Head in the cold heap, runner-up at the head of the hot heap.
         assert_eq!(q.peek().unwrap().0, 10);
         assert_eq!(q.second_time(), Some(25));
         q.pop();
+        // Both left in the hot heap.
         assert_eq!(q.peek().unwrap().0, 25);
         assert_eq!(q.second_time(), Some(40));
     }
@@ -402,11 +489,46 @@ mod tests {
         assert!(q.second_time().is_none());
     }
 
+    /// An `EventKind` chosen by `r`, covering every kind: half the draws are
+    /// `CpuBoundary` (hot heap), the rest spread over the cold kinds.
+    fn any_kind(r: u64) -> EventKind {
+        let a = (r >> 8) % 8;
+        match r % 20 {
+            0..=9 => EventKind::CpuBoundary {
+                cpu: a as usize,
+                token: r >> 32,
+            },
+            10 => EventKind::NoiseArrival { src: a as u32 },
+            11 => EventKind::TimerTick {
+                cpu: a as usize,
+                token: r >> 32,
+            },
+            12 => EventKind::LoadBalance,
+            13 => EventKind::FreqReeval { socket: a as usize },
+            14 => EventKind::FreqPulse {
+                socket: a as usize,
+                token: r >> 32,
+            },
+            15 => EventKind::FreqSample,
+            16 => EventKind::FaultStart { idx: a as u32 },
+            17 => EventKind::FaultEnd { idx: a as u32 },
+            _ => EventKind::FaultStormTick { idx: a as u32 },
+        }
+    }
+
     #[test]
     fn packed_and_reference_pop_identically() {
-        // Deterministic pseudo-random interleaving of pushes and pops.
+        // Deterministic pseudo-random interleaving of pushes, pops and
+        // seq bumps over every event kind, on a time range narrow
+        // enough that most pops break a tie. The packed queue must pop
+        // exactly what the reference heap pops, and its `peek`,
+        // `second_time` and `len` must match a brute-force sorted-key
+        // oracle after every step (the reference path declines the
+        // fast-path queries, so it cannot be the oracle for them).
         let mut a = EventQueue::new();
         let mut b = EventQueue::new_reference();
+        let mut oracle: Vec<(u128, EventKind)> = Vec::new();
+        let mut seq = 0u64;
         let mut x = 0x9E3779B97F4A7C15u64;
         let mut step = || {
             x ^= x << 13;
@@ -414,19 +536,42 @@ mod tests {
             x ^= x << 17;
             x
         };
-        for _ in 0..5000 {
+        for i in 0..20_000 {
             let r = step();
-            if r % 3 != 0 || a.is_empty() {
-                let t = (step() % 64) as Time;
-                let kind = EventKind::CpuBoundary {
-                    cpu: (step() % 8) as usize,
-                    token: step() % 4,
-                };
-                a.push(t, kind);
-                b.push(t, kind);
-            } else {
-                assert_eq!(a.pop(), b.pop());
+            // Drift the time window upward so both heaps keep turning
+            // over; within the window, times collide constantly.
+            let t = (i / 64 + step() % 16) as Time;
+            match r % 8 {
+                0..=3 => {
+                    let kind = any_kind(step());
+                    a.push(t, kind);
+                    b.push(t, kind);
+                    oracle.push((pack(t, seq), kind));
+                    seq += 1;
+                }
+                4 => {
+                    let n = step() % 3;
+                    a.bump_seq(n);
+                    b.bump_seq(n);
+                    seq += n;
+                }
+                _ => {
+                    // The oracle is kept sorted, so its minimum is first.
+                    let want = (!oracle.is_empty())
+                        .then(|| oracle.remove(0))
+                        .map(|(k, kind)| (unpack_time(k), kind));
+                    let got = a.pop();
+                    assert_eq!(got, b.pop());
+                    assert_eq!(got, want);
+                }
             }
+            oracle.sort_by_key(|e| e.0);
+            assert_eq!(a.len(), oracle.len());
+            assert_eq!(
+                a.peek().map(|(t, k)| (t, *k)),
+                oracle.first().map(|e| (unpack_time(e.0), e.1))
+            );
+            assert_eq!(a.second_time(), oracle.get(1).map(|e| unpack_time(e.0)));
         }
         while !a.is_empty() {
             assert_eq!(a.pop(), b.pop());

@@ -2,11 +2,15 @@
 //!
 //! A task's behaviour is described by a [`Program`]: a compact list of
 //! [`Op`]s with structured repetition ([`Op::LoopBegin`]/[`Op::LoopEnd`]).
-//! At run time the engine *expands* one op at a time into a short queue of
-//! [`MicroOp`]s — the unit the event loop actually executes. Expansion is
-//! instantaneous in virtual time; only timed micro-ops (cycles, fixed
-//! nanoseconds, streamed bytes) advance the clock, and only they can be
-//! preempted part-way through.
+//! At run time the engine *expands* one op at a time into
+//! [`MicroOp`]s — the unit the event loop actually executes. Most ops
+//! expand to exactly one micro-op, which the interpreter dispatches
+//! directly; [`Task::micro`] holds only the *remaining* micro-ops of an
+//! expansion (a barrier's arrival after its arrive cost, the rest of a
+//! spawn burst, a loop chunk's body) and those the interpreter queues
+//! itself. Expansion is instantaneous in virtual time; only timed
+//! micro-ops (cycles, fixed nanoseconds, streamed bytes) advance the
+//! clock, and only they can be preempted part-way through.
 
 use crate::time::Time;
 use ompvar_topology::Place;
@@ -450,7 +454,9 @@ pub struct Task {
     pub pc: usize,
     /// Active repetition frames.
     pub frames: Vec<LoopFrame>,
-    /// Expanded-but-not-yet-executed micro-ops.
+    /// Expanded-but-not-yet-executed micro-ops. Empty whenever the next
+    /// op is expanded: an op's first micro-op is dispatched directly and
+    /// only the rest wait here.
     pub micro: VecDeque<MicroOp>,
     /// The timed micro-op currently in progress, if any.
     pub current: Option<Timed>,

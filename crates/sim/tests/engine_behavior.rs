@@ -3,6 +3,7 @@
 
 use ompvar_sim::prelude::*;
 use ompvar_sim::time::{self, SEC};
+use ompvar_sim::trace::ObjEffects;
 use ompvar_topology::{HwThreadId, MachineSpec, Place};
 
 fn pin(cpu: usize) -> Option<Place> {
@@ -641,4 +642,60 @@ fn back_to_back_distinct_loops_both_execute() {
         assert_eq!(iters, want, "loop {lp:?} executed {iters}/{want} iters");
         assert_eq!(passes, 1);
     }
+}
+
+/// An op that expands to no micro-op at all (a zero-count spawn burst)
+/// falls through to the next op instead of ending the task.
+#[test]
+fn empty_spawn_burst_falls_through_to_next_op() {
+    let m = MachineSpec::generic(1, 4, 1); // flat 3.0 GHz
+    let mut sim = Simulator::new(m, SimParams::sterile(), 1);
+    let pool = sim.add_task_pool(1.0, 1, 1);
+    let prog = Program::new(vec![
+        Op::TaskSpawn {
+            obj: pool,
+            count: 0,
+            body_cycles: 1.0e3,
+        },
+        Op::Compute {
+            cycles: 3.0e6, // 1 ms at 3 GHz
+            class: CorunClass::Latency,
+        },
+        Op::Mark { marker: 7 },
+    ]);
+    let t = sim.spawn_user(0, prog, pin(0));
+    let rep = sim.run(SEC).expect("run completes");
+    let marks: Vec<_> = rep.markers.iter().filter(|m| m.task == t).collect();
+    assert_eq!(marks.len(), 1, "marker after the empty burst must be recorded");
+    assert_eq!(marks[0].marker, 7);
+    assert!(
+        (marks[0].time as f64 - 1e6).abs() < 1e4,
+        "the compute must run before the marker: marker at {} ns",
+        marks[0].time
+    );
+}
+
+/// A barrier as a task's last op expands to two micro-ops; the second,
+/// the arrival, is each task's final micro-op and must still be
+/// executed by both threads.
+#[test]
+fn trailing_barrier_is_the_final_micro_op() {
+    let m = MachineSpec::generic(1, 4, 1); // flat 3.0 GHz
+    let mut sim = Simulator::new(m, SimParams::sterile(), 1);
+    let b = sim.add_barrier(2, 1.0);
+    for (rank, cycles) in [3.0e6, 6.0e6].into_iter().enumerate() {
+        let prog = Program::builder()
+            .compute(cycles, CorunClass::Latency)
+            .barrier(b)
+            .build();
+        sim.spawn_user(rank, prog, pin(rank));
+    }
+    let rep = sim.run(SEC).expect("run completes");
+    assert_eq!(rep.unfinished, 0);
+    assert!(rep.final_time >= 2_000_000, "final time {}", rep.final_time);
+    assert_eq!(
+        rep.obj_effects[b.0 as usize],
+        ObjEffects::Barrier { arrivals: 2 },
+        "both threads must arrive at the trailing barrier"
+    );
 }

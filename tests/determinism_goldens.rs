@@ -29,10 +29,11 @@
 use ompvar_qcheck::gen::{self, GenConfig};
 use ompvar_rt::region::{Construct, RegionSpec, Schedule};
 use ompvar_rt::simrt::{FreqLoggerCfg, SimRuntime};
-use ompvar_rt::RtConfig;
+use ompvar_rt::{RtConfig, RtError};
 use ompvar_sim::fault::FaultPlan;
 use ompvar_sim::params::SimParams;
-use ompvar_sim::time::{MS, SEC, US};
+use ompvar_sim::error::SimError;
+use ompvar_sim::time::{SEC, US};
 use ompvar_topology::{MachineSpec, Places};
 use std::fmt::Write as _;
 
@@ -222,27 +223,31 @@ fn corpus() -> Vec<Case> {
         seed: 0xF2E7,
     });
 
-    // One fault plan per fault kind, on the calibrated machine.
+    // One fault plan per fault kind, on the calibrated machine. The
+    // region runs for ~190 µs, so every fault starts at 20 µs and every
+    // timed window closes inside the run: each case delivers its fault
+    // (`fault_cases_fire_and_differ` checks it) and the storm ticks and
+    // window ends exercise the event queue's non-boundary heap.
     let fault_plans: Vec<(&str, FaultPlan)> = vec![
         (
             "noise-storm",
-            FaultPlan::new().noise_storm(2 * MS, 30 * MS, 200 * US, 50 * US, 1.1),
+            FaultPlan::new().noise_storm(20 * US, 120 * US, 10 * US, 5 * US, 1.1),
         ),
         (
             "cpu-offline",
-            FaultPlan::new().cpu_offline(MS, 2, Some(20 * MS)),
+            FaultPlan::new().cpu_offline(20 * US, 2, Some(100 * US)),
         ),
         (
             "freq-cap",
-            FaultPlan::new().freq_cap(500 * US, Some(0), 1.8, Some(25 * MS)),
+            FaultPlan::new().freq_cap(20 * US, Some(0), 1.8, Some(100 * US)),
         ),
         (
             "task-stall",
-            FaultPlan::new().task_stall(MS, Some(1), 4e6),
+            FaultPlan::new().task_stall(20 * US, Some(1), 4e6),
         ),
         (
             "lost-wakeups",
-            FaultPlan::new().lost_wakeups(200 * US, 2),
+            FaultPlan::new().lost_wakeups(20 * US, 2),
         ),
     ];
     for (fname, plan) in fault_plans {
@@ -279,7 +284,7 @@ fn corpus() -> Vec<Case> {
     cases.push(Case {
         name: "attr-noisy-dardel".into(),
         rt: SimRuntime::new(MachineSpec::dardel(), RtConfig::unbound())
-            .with_faults(FaultPlan::new().noise_storm(2 * MS, 30 * MS, 200 * US, 50 * US, 1.1))
+            .with_faults(FaultPlan::new().noise_storm(20 * US, 150 * US, 10 * US, 5 * US, 1.1))
             .with_attribution(true),
         region: sched_region(16, 6),
         seed: 0xA77B,
@@ -287,7 +292,7 @@ fn corpus() -> Vec<Case> {
     cases.push(Case {
         name: "attr-flaky-vera".into(),
         rt: SimRuntime::new(MachineSpec::vera(), RtConfig::unbound())
-            .with_faults(FaultPlan::new().task_stall(MS, Some(1), 4e6))
+            .with_faults(FaultPlan::new().task_stall(20 * US, Some(1), 4e6))
             .with_attribution(true),
         region: sched_region(8, 8),
         seed: 0xA77C,
@@ -399,5 +404,48 @@ fn reference_engine_is_bit_identical() {
             "optimized and reference engines diverged for {}",
             case.name
         );
+    }
+}
+
+/// The fault cases must actually inject their fault — a plan whose
+/// start time lies past the end of the run digests the same report as
+/// no plan at all — and the five fault kinds must leave five different
+/// fingerprints.
+#[test]
+fn fault_cases_fire_and_differ() {
+    let cases = corpus();
+    let fault_cases: Vec<&Case> = cases
+        .iter()
+        .filter(|c| c.name.starts_with("fault-") || c.name.starts_with("attr-"))
+        .collect();
+    assert_eq!(fault_cases.len(), 7);
+    for case in &fault_cases {
+        let result = case.rt.run_report(&case.region, case.seed);
+        if case.name.contains("lost-wakeups") {
+            assert!(
+                matches!(result, Err(RtError::Sim(SimError::Deadlock { .. }))),
+                "{}: dropped wakeups must deadlock the run, got {result:?}",
+                case.name
+            );
+            continue;
+        }
+        let report = result.unwrap_or_else(|err| panic!("{} failed: {err}", case.name));
+        assert!(
+            report.counters.faults_injected > 0,
+            "{} injected no fault (run ended at {} ns)",
+            case.name,
+            report.final_time
+        );
+    }
+    let digests: Vec<(&str, String)> = fault_cases
+        .iter()
+        .filter(|c| c.name.starts_with("fault-"))
+        .map(|c| (c.name.as_str(), digest(c, false)))
+        .collect();
+    assert_eq!(digests.len(), 5);
+    for (i, (a, da)) in digests.iter().enumerate() {
+        for (b, db) in &digests[i + 1..] {
+            assert_ne!(da, db, "{a} and {b} digest identically");
+        }
     }
 }
