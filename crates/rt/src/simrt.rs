@@ -73,8 +73,8 @@ pub struct SimRuntime {
     /// Route runs through the engine's *reference path*: the
     /// pre-optimization binary-heap event queue and naive topology
     /// lookups. Slower, independently implemented, and required to be
-    /// observably identical to the optimized path — the yardstick for
-    /// qcheck oracle #11 and the CI perf gate's machine normalization.
+    /// observably identical to the optimized path — the test reference
+    /// for qcheck oracle #11 and the determinism golden suite.
     pub reference_engine: bool,
 }
 

@@ -239,9 +239,9 @@ pub struct Simulator {
     /// (plain `BinaryHeap`) and recompute every topology lookup through
     /// `MachineSpec` instead of the flat caches, with no tick
     /// fast-forwarding. The observable event stream is identical to the
-    /// optimized path by construction; this mode exists as the yardstick
-    /// for equivalence oracles, cross-implementation golden checks, and
-    /// machine-independent CI perf normalization.
+    /// optimized path by construction; this mode exists as the test
+    /// reference for equivalence oracles and cross-implementation golden
+    /// checks.
     reference: bool,
     /// Physical core of each hardware thread (flat topology cache).
     cpu_core: Vec<u32>,
@@ -479,11 +479,9 @@ impl Simulator {
     ///
     /// The reference path processes the *identical* event stream — same
     /// pop order, same RNG draws, same counters — so a seed run on either
-    /// path yields a bit-identical [`SimReport`]. It exists as the
-    /// yardstick: equivalence oracles diff the two paths, the golden
-    /// determinism suite pins both to one digest, and the CI perf gate
-    /// divides optimized throughput by reference throughput to get a
-    /// machine-independent speedup.
+    /// path yields a bit-identical [`SimReport`]. It exists as the test
+    /// reference: equivalence oracles diff the two paths, and the golden
+    /// determinism suite pins both to one digest.
     pub fn use_reference_engine(&mut self) {
         assert!(
             !self.started,
@@ -491,11 +489,6 @@ impl Simulator {
         );
         self.reference = true;
         self.queue = EventQueue::new_reference();
-    }
-
-    /// Is this simulator on the reference (pre-optimization) path?
-    pub fn is_reference_engine(&self) -> bool {
-        self.reference
     }
 
     /// Turn on span/instant tracing. Tracing records construct timelines

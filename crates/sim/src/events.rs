@@ -18,9 +18,9 @@
 //!   heap over all events.
 //! * **Reference**: the original `std::collections::BinaryHeap` of
 //!   `HeapEntry` with a reversed `Ord`. Kept verbatim as the
-//!   independently implemented yardstick: qcheck oracle #11 and the
-//!   determinism golden suite hold the two paths to bit-identical
-//!   pop streams.
+//!   independently implemented test reference: the queue property
+//!   tests, qcheck oracle #11 and the determinism golden suite hold the
+//!   two paths to bit-identical pop streams.
 //!
 //! Both implementations pop in ascending `(time, seq)` order — earliest
 //! first, ties broken FIFO by insertion sequence — which is what makes
@@ -337,11 +337,6 @@ impl EventQueue {
             imp: QueueImpl::Reference(BinaryHeap::with_capacity(1024)),
             seq: 0,
         }
-    }
-
-    /// Is this the reference implementation?
-    pub fn is_reference(&self) -> bool {
-        matches!(self.imp, QueueImpl::Reference(_))
     }
 
     /// Schedule `kind` at absolute time `time`.

@@ -24,6 +24,7 @@ use crate::chaos::{self, FaultKind, Verdict, WriteKind};
 use crate::classify::Transience;
 use crate::fsio::atomic_write;
 use ompvar_obs::json::{self, Value};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -627,34 +628,7 @@ pub fn resume_shards(
     expect: &Header,
     jobs: usize,
 ) -> Result<(Vec<Manifest>, Vec<Entry>), CheckpointError> {
-    let jobs = jobs.max(1);
-    let on_disk = existing_shards(dir, base);
-    if !on_disk.iter().any(|(i, _)| *i == 0) {
-        return Err(CheckpointError::Io(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no manifest at {}", shard_path(dir, base, 0).display()),
-        )));
-    }
-    let mut merged: Vec<Entry> = Vec::new();
-    let mut opened: Vec<(usize, Manifest)> = Vec::new();
-    for (i, p) in on_disk {
-        let m = Manifest::open_resume(&p, expect)?;
-        for e in m.entries() {
-            if !merged.iter().any(|seen| seen.name == e.name) {
-                merged.push(e.clone());
-            }
-        }
-        if i < jobs {
-            opened.push((i, m));
-        }
-    }
-    let mut shards = Vec::with_capacity(jobs);
-    for w in 0..jobs {
-        match opened.iter().position(|(i, _)| *i == w) {
-            Some(pos) => shards.push(opened.remove(pos).1),
-            None => shards.push(Manifest::create(&shard_path(dir, base, w), expect.clone())?),
-        }
-    }
+    let (shards, merged, _) = merge_shards(dir, base, expect, jobs, false)?;
     Ok((shards, merged))
 }
 
@@ -674,6 +648,18 @@ pub fn resume_shards_lenient(
     expect: &Header,
     jobs: usize,
 ) -> Result<LenientResume, CheckpointError> {
+    merge_shards(dir, base, expect, jobs, true)
+}
+
+/// The merge behind both resume entry points; `lenient` decides whether
+/// a shard that fails to parse is fatal or quarantined with a note.
+fn merge_shards(
+    dir: &Path,
+    base: &str,
+    expect: &Header,
+    jobs: usize,
+    lenient: bool,
+) -> Result<LenientResume, CheckpointError> {
     let jobs = jobs.max(1);
     let on_disk = existing_shards(dir, base);
     if !on_disk.iter().any(|(i, _)| *i == 0) {
@@ -683,12 +669,13 @@ pub fn resume_shards_lenient(
         )));
     }
     let mut merged: Vec<Entry> = Vec::new();
+    let mut names: HashSet<String> = HashSet::new();
     let mut opened: Vec<(usize, Manifest)> = Vec::new();
     let mut notes: Vec<String> = Vec::new();
     for (i, p) in on_disk {
         let m = match Manifest::open_resume(&p, expect) {
             Ok(m) => m,
-            Err(e @ CheckpointError::Parse { .. }) => {
+            Err(e @ CheckpointError::Parse { .. }) if lenient => {
                 let quarantine = p.with_extension("jsonl.corrupt");
                 std::fs::rename(&p, &quarantine)?;
                 notes.push(format!(
@@ -701,7 +688,7 @@ pub fn resume_shards_lenient(
             Err(e) => return Err(e),
         };
         for e in m.entries() {
-            if !merged.iter().any(|seen| seen.name == e.name) {
+            if names.insert(e.name.clone()) {
                 merged.push(e.clone());
             }
         }
@@ -916,30 +903,49 @@ mod tests {
         Header { seed: 7, fast: true, targets: targets.iter().map(|s| s.to_string()).collect() }
     }
 
+    /// Resume through either public entry point. On a shard set with no
+    /// corrupt manifest the lenient one must quarantine nothing.
+    fn resume(
+        dir: &Path,
+        expect: &Header,
+        jobs: usize,
+        lenient: bool,
+    ) -> Result<(Vec<Manifest>, Vec<Entry>), CheckpointError> {
+        if !lenient {
+            return resume_shards(dir, "m", expect, jobs);
+        }
+        let (shards, merged, notes) = resume_shards_lenient(dir, "m", expect, jobs)?;
+        assert!(notes.is_empty(), "{notes:?}");
+        Ok((shards, merged))
+    }
+
     /// Shard manifests merge deterministically: shard order, file order,
     /// first name wins — independent of which worker journaled what.
     #[test]
     fn shard_merge_is_deterministic_and_deduped() {
-        let path = tmp("shards");
-        let dir = path.parent().unwrap().to_path_buf();
-        let h = shard_header(&["a", "b", "c"]);
-        let mut shards = create_shards(&dir, "m", &h, 3).unwrap();
-        assert!(shard_path(&dir, "m", 0).ends_with("m.jsonl"), "legacy name for shard 0");
-        // Workers journal out of canonical order and with a duplicate.
-        shards[2].append(entry("c")).unwrap();
-        shards[0].append(entry("b")).unwrap();
-        shards[1].append(entry("b")).unwrap(); // duplicate: shard 0 wins
-        drop(shards);
+        for lenient in [false, true] {
+            let path = tmp(&format!("shards_{lenient}"));
+            let dir = path.parent().unwrap().to_path_buf();
+            let h = shard_header(&["a", "b", "c"]);
+            let mut shards = create_shards(&dir, "m", &h, 3).unwrap();
+            assert!(shard_path(&dir, "m", 0).ends_with("m.jsonl"), "legacy name for shard 0");
+            // Workers journal out of canonical order and with a duplicate.
+            shards[2].append(entry("c")).unwrap();
+            shards[0].append(entry("b")).unwrap();
+            shards[1].append(entry("b")).unwrap(); // duplicate: shard 0 wins
+            shards[1].append(entry("a")).unwrap();
+            drop(shards);
 
-        let (reopened, merged) = resume_shards(&dir, "m", &h, 2).unwrap();
-        assert_eq!(reopened.len(), 2, "only live shards returned");
-        let names: Vec<&str> = merged.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["b", "c"], "shard order, dedup by name");
-        // Resuming with MORE workers than shards creates the missing one.
-        let (reopened, merged) = resume_shards(&dir, "m", &h, 4).unwrap();
-        assert_eq!(reopened.len(), 4);
-        assert_eq!(merged.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+            let (reopened, merged) = resume(&dir, &h, 2, lenient).unwrap();
+            assert_eq!(reopened.len(), 2, "only live shards returned");
+            let names: Vec<&str> = merged.iter().map(|e| e.name.as_str()).collect();
+            assert_eq!(names, ["b", "a", "c"], "shard order, dedup by name");
+            // Resuming with MORE workers than shards creates the missing one.
+            let (reopened, merged) = resume(&dir, &h, 4, lenient).unwrap();
+            assert_eq!(reopened.len(), 4);
+            assert_eq!(merged.len(), 3);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Seeds above 2^53 do not survive a JSON number's `f64` round trip;
@@ -1105,12 +1111,14 @@ mod tests {
     /// resume), matching the sequential behavior.
     #[test]
     fn resume_shards_requires_shard_zero() {
-        let path = tmp("noshard0");
-        let dir = path.parent().unwrap().to_path_buf();
-        assert!(matches!(
-            resume_shards(&dir, "m", &shard_header(&["a"]), 2),
-            Err(CheckpointError::Io(_))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        for lenient in [false, true] {
+            let path = tmp(&format!("noshard0_{lenient}"));
+            let dir = path.parent().unwrap().to_path_buf();
+            assert!(matches!(
+                resume(&dir, &shard_header(&["a"]), 2, lenient),
+                Err(CheckpointError::Io(_))
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

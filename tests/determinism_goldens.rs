@@ -80,9 +80,11 @@ fn fuzz_rt(machine: MachineSpec, n_threads: usize) -> SimRuntime {
         .with_tracing(true)
 }
 
-/// The campaign-scale generator configuration (matches
-/// `ompvar_bench::throughput::fuzz_gen_config`; duplicated so the golden
-/// corpus has no dependency on the bench crate).
+/// The campaign-scale generator configuration: the qcheck grammar with
+/// deeper nesting, longer loops and bigger teams, so each case spends its
+/// time in the event loop. The same values as the benchmark's
+/// `fuzz_corpus` workload (`perfbench/src/fuzz.rs`), repeated here so the
+/// golden corpus does not depend on the benchmark.
 fn heavy_cfg() -> GenConfig {
     GenConfig {
         max_threads: 8,
